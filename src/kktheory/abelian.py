@@ -6,7 +6,8 @@ ever touches floating point, so results are exact at any size.  The pieces:
 * ``IntMatrix`` -- immutable integer matrices of any shape, including empty
   shapes like 0 x n, which occur routinely as boundary maps of trivial groups.
 * ``smith_normal_form`` -- ``u @ m @ v == d`` with unimodular ``u``, ``v`` and
-  a divisibility chain ``d[0][0] | d[1][1] | ...`` of nonnegative entries.
+  a divisibility chain ``d[0][0] | d[1][1] | ...`` of nonnegative entries;
+  ``transforms=False`` runs the same elimination on ``d`` alone.
 * ``FgAbGroup`` -- a finitely generated abelian group presented as the
   cokernel of a relations matrix, carrying its canonical invariant-factor
   decomposition.  Equality of groups means equality of canonical forms.
@@ -15,6 +16,8 @@ ever touches floating point, so results are exact at any size.  The pieces:
 * ``homology`` -- ker/im of a two-step complex of presented groups, returned
   in canonical form together with ambient lifts of its generators, so that
   maps induced on homology can be computed afterwards (``induced_hom``).
+  Free and elementary middle groups are read from Smith diagonals; their
+  lifts are built only when asked for.
 * ``extension_candidates`` -- the isomorphism classes of finite abelian groups
   admitting a given subgroup with a given quotient, found by exhaustive
   enumeration.
@@ -23,9 +26,9 @@ ever touches floating point, so results are exact at any size.  The pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as _cartesian
-from math import prod
+from math import gcd, prod
 
 
 class CompositionNotZero(Exception):
@@ -239,14 +242,16 @@ class SnfDecomposition:
     """u @ m @ v == d; u, v unimodular; d diagonal, nonnegative, d_i | d_{i+1}.
 
     The inverses of the transforms are tracked alongside because downstream
-    computations (image bases, generator lifts) need them.
+    computations (image bases, generator lifts) need them.  A decomposition
+    made with ``transforms=False`` carries ``d`` alone; its four transforms
+    are None.
     """
 
-    u: IntMatrix
+    u: IntMatrix | None
     d: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+    v: IntMatrix | None
+    u_inv: IntMatrix | None
+    v_inv: IntMatrix | None
 
     @property
     def diagonal(self):
@@ -259,52 +264,59 @@ class SnfDecomposition:
 
 
 @lru_cache(maxsize=None)
-def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
+def smith_normal_form(m: IntMatrix, transforms: bool = True) -> SnfDecomposition:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     Pivoting always picks the remaining entry of smallest nonzero absolute
     value, which keeps intermediate entries tame and makes the output
     deterministic.  Only ``d`` is canonical; ``u`` and ``v`` are just *some*
     witnesses, so tests should check identities, not their literal entries.
+    With ``transforms=False`` the same operations run on ``d`` alone.
     """
     rows, cols = m.rows, m.cols
     d = [list(row) for row in m.data]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    ui = [row[:] for row in u]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vi = [row[:] for row in v]
+    if transforms:
+        u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+        ui = [row[:] for row in u]
+        v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+        vi = [row[:] for row in v]
 
     def row_swap(a, b):
         d[a], d[b] = d[b], d[a]
-        u[a], u[b] = u[b], u[a]
-        for r in ui:
-            r[a], r[b] = r[b], r[a]
+        if transforms:
+            u[a], u[b] = u[b], u[a]
+            for r in ui:
+                r[a], r[b] = r[b], r[a]
 
     def row_add(a, b, q):  # row a += q * row b
         d[a] = [x + q * y for x, y in zip(d[a], d[b])]
-        u[a] = [x + q * y for x, y in zip(u[a], u[b])]
-        for r in ui:
-            r[b] -= q * r[a]
+        if transforms:
+            u[a] = [x + q * y for x, y in zip(u[a], u[b])]
+            for r in ui:
+                r[b] -= q * r[a]
 
     def row_negate(a):
         d[a] = [-x for x in d[a]]
-        u[a] = [-x for x in u[a]]
-        for r in ui:
-            r[a] = -r[a]
+        if transforms:
+            u[a] = [-x for x in u[a]]
+            for r in ui:
+                r[a] = -r[a]
 
     def col_swap(a, b):
         for r in d:
             r[a], r[b] = r[b], r[a]
-        for r in v:
-            r[a], r[b] = r[b], r[a]
-        vi[a], vi[b] = vi[b], vi[a]
+        if transforms:
+            for r in v:
+                r[a], r[b] = r[b], r[a]
+            vi[a], vi[b] = vi[b], vi[a]
 
     def col_add(a, b, q):  # col a += q * col b
         for r in d:
             r[a] += q * r[b]
-        for r in v:
-            r[a] += q * r[b]
-        vi[b] = [x - q * y for x, y in zip(vi[b], vi[a])]
+        if transforms:
+            for r in v:
+                r[a] += q * r[b]
+            vi[b] = [x - q * y for x, y in zip(vi[b], vi[a])]
 
     t = 0
     limit = min(rows, cols)
@@ -360,6 +372,8 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
         if d[i][i] < 0:
             row_negate(i)
 
+    if not transforms:
+        return SnfDecomposition(None, IntMatrix(rows, cols, d), None, None, None)
     return SnfDecomposition(
         u=IntMatrix(rows, rows, u),
         d=IntMatrix(rows, cols, d),
@@ -510,7 +524,7 @@ class FgAbGroup:
 
 def group_from_presentation(relations: IntMatrix) -> FgAbGroup:
     """Canonicalize Z^rows / (column span of ``relations``) via its SNF."""
-    diag = smith_normal_form(relations).diagonal
+    diag = smith_normal_form(relations, transforms=False).diagonal
     factors = tuple(e for e in diag if e >= 2)
     rank = sum(1 for e in diag if e != 0)
     return FgAbGroup(
@@ -626,6 +640,17 @@ def kernel_lattice(h: GroupHom) -> IntMatrix:
 # Homology of two consecutive maps
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _LatticeData:
+    """Kernel lattice of a homology cell and its canonical change of basis."""
+
+    basis: IntMatrix
+    lift: IntMatrix
+    transform: IntMatrix       # row transform of the SNF of the inner relations
+    diag: tuple
+    kept: tuple                # indices of canonical generators in z-coordinates
+
+
 @dataclass(frozen=True, eq=False)
 class HomologyResult:
     """ker(d_out)/im(d_in) in canonical form, with ambient generator lifts.
@@ -633,49 +658,55 @@ class HomologyResult:
     ``lift`` column i is an element of the middle group's ambient lattice
     representing canonical generator i (torsion generators first, in chain
     order, then free ones).  Enough of the change of basis is retained to
-    express further ambient kernel elements in these generators.
+    express further ambient kernel elements in these generators.  The kernel
+    lattice behind ``kernel_lattice_basis``, ``lift`` and ``express`` is built
+    on first use when the group was read from Smith diagonals alone.
     """
 
     group: FgAbGroup
-    lift: IntMatrix
     middle: FgAbGroup
-    kernel_lattice_basis: IntMatrix
     boundary_in: IntMatrix
-    _transform: IntMatrix      # row transform of the SNF of the inner relations
-    _diag: tuple
-    _kept: tuple               # indices of canonical generators in z-coordinates
+    boundary_out: GroupHom
+
+    @cached_property
+    def _lattice(self) -> _LatticeData:
+        group, data = _lattice_homology(self.boundary_in, self.middle, self.boundary_out)
+        if group != self.group:
+            raise RuntimeError(f"kernel lattice gives {group.describe()}, "
+                               f"Smith diagonals gave {self.group.describe()}")
+        return data
+
+    @property
+    def kernel_lattice_basis(self) -> IntMatrix:
+        return self._lattice.basis
+
+    @property
+    def lift(self) -> IntMatrix:
+        return self._lattice.lift
 
     def express(self, vec):
         """Coordinates of an ambient kernel element in the canonical generators."""
-        w = solve_in_span(self.kernel_lattice_basis, IntMatrix.column(vec))
+        data = self._lattice
+        w = solve_in_span(data.basis, IntMatrix.column(vec))
         if w is None:
             raise ValueError("element does not lie in the kernel lattice")
-        z = self._transform.apply(w.col(0))
+        z = data.transform.apply(w.col(0))
         coords = []
         torsion = len(self.group.invariant_factors)
-        for pos, j in enumerate(self._kept):
+        for pos, j in enumerate(data.kept):
             if pos < torsion:
-                coords.append(z[j] % self._diag[j])
+                coords.append(z[j] % data.diag[j])
             else:
                 coords.append(z[j])
         return tuple(coords)
 
 
-def homology(d_in: GroupHom, d_out: GroupHom) -> HomologyResult:
-    """Homology at the middle of ``. -> middle -> .`` with generator lifts.
-
-    Raises CompositionNotZero unless d_out o d_in vanishes as a map of
-    presented groups.
-    """
-    if not same_presentation(d_in.target, d_out.source):
-        raise ValueError("middle groups of the two boundary maps differ")
-    if not (d_out @ d_in).is_zero():
-        raise CompositionNotZero("boundary maps do not compose to zero")
-    middle = d_in.target
+def _lattice_homology(boundary_in: IntMatrix, middle: FgAbGroup, d_out: GroupHom):
+    """Homology group and lattice data through the kernel lattice of d_out."""
     lattice = kernel_lattice(d_out)
-    inner = IntMatrix.hstack(d_in.matrix, middle.relations)
+    inner = IntMatrix.hstack(boundary_in, middle.relations)
     relations_in_lattice = solve_in_span(lattice, inner)
-    if relations_in_lattice is None:  # impossible once the two checks above pass
+    if relations_in_lattice is None:  # impossible once composition is zero
         raise RuntimeError("image escaped the kernel lattice")
     s = smith_normal_form(relations_in_lattice)
     diag = s.diagonal
@@ -685,16 +716,64 @@ def homology(d_in: GroupHom, d_out: GroupHom) -> HomologyResult:
     kept = torsion_idx + free_idx
     group = FgAbGroup.from_invariants([diag[j] for j in torsion_idx], len(free_idx))
     lift = lattice @ s.u_inv.columns(kept)
-    return HomologyResult(
-        group=group,
-        lift=lift,
-        middle=middle,
-        kernel_lattice_basis=lattice,
-        boundary_in=d_in.matrix,
-        _transform=s.u,
-        _diag=diag,
-        _kept=tuple(kept),
-    )
+    return group, _LatticeData(lattice, lift, s.u, diag, tuple(kept))
+
+
+def _uniform_modulus(g: FgAbGroup):
+    """m when g is presented as Z^n / mZ^n, with 0 for no relations; else None."""
+    rel = g.relations
+    if rel.is_zero():
+        return 0
+    m = rel[0, 0]
+    if rel == IntMatrix.identity(g.ambient_rank).scaled(m):
+        return m
+    return None
+
+
+def _diagonal_homology(d_in: GroupHom, d_out: GroupHom):
+    """The homology group from the Smith diagonals of the two boundaries, or
+    None when the middle group is not of a form where they suffice.
+
+    If the middle and the target of d_out are free, ker d_out is saturated,
+    so the torsion is the diagonal of d_in and the free rank is
+    n - rk d_out - rk d_in.  If both are Z^n / 2Z^n (as in real degree 1, and
+    in degree 2 when no vertex is paired), the complex is one of
+    F_2-vector spaces and the same count, with ranks taken mod 2, gives the
+    dimension of the homology.
+    """
+    m = _uniform_modulus(d_in.target)
+    if m not in (0, 2):
+        return None
+    if d_out.target.ambient_rank and _uniform_modulus(d_out.target) != m:
+        return None
+    n = d_in.target.ambient_rank
+    diag_in = smith_normal_form(d_in.matrix, transforms=False).diagonal
+    diag_out = smith_normal_form(d_out.matrix, transforms=False).diagonal
+    if m == 0:
+        rank = n - sum(1 for e in diag_out + diag_in if e)
+        return FgAbGroup.from_invariants([e for e in diag_in if e >= 2], rank)
+    dim = n - sum(1 for e in diag_out + diag_in if e % m)
+    return FgAbGroup.from_invariants([m] * dim)
+
+
+def homology(d_in: GroupHom, d_out: GroupHom) -> HomologyResult:
+    """Homology at the middle of ``. -> middle -> .`` with generator lifts.
+
+    Raises CompositionNotZero unless d_out o d_in vanishes as a map of
+    presented groups.  Free and elementary middles are read from Smith
+    diagonals and build their kernel lattice only when a lift is asked for.
+    """
+    if not same_presentation(d_in.target, d_out.source):
+        raise ValueError("middle groups of the two boundary maps differ")
+    if not (d_out @ d_in).is_zero():
+        raise CompositionNotZero("boundary maps do not compose to zero")
+    group = _diagonal_homology(d_in, d_out)
+    if group is not None:
+        return HomologyResult(group, d_in.target, d_in.matrix, d_out)
+    group, data = _lattice_homology(d_in.matrix, d_in.target, d_out)
+    result = HomologyResult(group, d_in.target, d_in.matrix, d_out)
+    vars(result)["_lattice"] = data  # already built: fill the cached property
+    return result
 
 
 def induced_hom(f: GroupHom, h_src: HomologyResult, h_tgt: HomologyResult) -> GroupHom:
@@ -783,7 +862,7 @@ def _admits_extension(g: FgAbGroup, sub: FgAbGroup, quot: FgAbGroup) -> bool:
     for ai in a:
         col_choices = []
         for bj in b:
-            gcd_ab = _gcd(ai, bj)
+            gcd_ab = gcd(ai, bj)
             step = bj // gcd_ab
             col_choices.append([t * step for t in range(gcd_ab)])
         entry_choices.append(col_choices)
@@ -800,12 +879,6 @@ def _admits_extension(g: FgAbGroup, sub: FgAbGroup, quot: FgAbGroup) -> bool:
         if group_from_presentation(span) == quot:
             return True
     return False
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def extension_candidates(sub: FgAbGroup, quot: FgAbGroup,

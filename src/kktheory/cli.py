@@ -23,7 +23,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .abelian import BoundExceeded, FgAbGroup
+from .abelian import DEFAULT_EXTENSION_BOUND, BoundExceeded, FgAbGroup, smith_normal_form
 from .kgraph import KGraphError, KGraphSpec, validate
 from .spectral import (
     assemble_diagonals,
@@ -51,7 +51,7 @@ class ParseError(Exception):
 class JobConfig:
     input_path: str
     output_format: str = "text"
-    ext_bound: int = 2 ** 16
+    ext_bound: int = DEFAULT_EXTENSION_BOUND
     core_bound: int = 8
     emit_intermediate: bool = False
     emit_lifts: bool = False
@@ -121,8 +121,8 @@ def _assembly_json(asm):
 
 def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
     """Run the full pipeline and return the JSON-ready result document."""
-    partition = validate(spec)
     page = compute_e2(spec)
+    partition = page.partition
     report = differential_report(page)
     real_asm = assemble_diagonals(page, report, "real", config.ext_bound)
     cplx_asm = assemble_diagonals(page, report, "complex", config.ext_bound)
@@ -182,13 +182,13 @@ def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
 
     if config.emit_intermediate:
         inter = {}
-        from .abelian import smith_normal_form
         for (part, j), cx in sorted(page.complexes.items()):
             inter[f"{part}/{j}"] = {
                 "groups": [_gstr(g) for g in cx.groups],
                 "boundaries": [b.matrix.tolist() for b in cx.boundaries],
-                "snf_diagonals": [list(smith_normal_form(b.matrix).diagonal)
-                                  for b in cx.boundaries],
+                "snf_diagonals": [
+                    list(smith_normal_form(b.matrix, transforms=False).diagonal)
+                    for b in cx.boundaries],
             }
         doc["intermediate"] = inter
 
@@ -334,7 +334,7 @@ def run(config: JobConfig, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     try:
         spec = load_spec(config.input_path)
-        doc = analyze(spec, config)
+        validate(spec)
     except (ParseError, KGraphError, ValueError) as exc:
         name = type(exc).__name__
         message = str(exc)
@@ -342,6 +342,8 @@ def run(config: JobConfig, stdout=None, stderr=None) -> int:
         print(message if message.startswith(name) else f"{name}: {message}",
               file=stderr)
         return 2
+    try:
+        doc = analyze(spec, config)
     except BoundExceeded as exc:
         print(f"BoundExceeded: {exc}", file=stderr)
         return 4
@@ -364,7 +366,7 @@ def main(argv=None) -> int:
     cmd = sub.add_parser("compute", help="run the full pipeline on one input file")
     cmd.add_argument("input", help="path to the k-graph JSON description")
     cmd.add_argument("--format", choices=["text", "json"], default="text")
-    cmd.add_argument("--ext-bound", type=int, default=2 ** 16,
+    cmd.add_argument("--ext-bound", type=int, default=DEFAULT_EXTENSION_BOUND,
                      help="order bound for extension enumeration (default 65536)")
     cmd.add_argument("--core-bound", type=int, default=8,
                      help="Z_2-rank search bound for the core solver (default 8)")

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as _cartesian
+from math import gcd
 
 from .abelian import (
+    DEFAULT_EXTENSION_BOUND,
     BoundExceeded,
     FgAbGroup,
     GroupHom,
@@ -74,7 +76,8 @@ class E2Page:
 
 
 def compute_e2(spec: KGraphSpec) -> E2Page:
-    """Homology of every graded complex, with generator lifts retained."""
+    """Homology of every graded complex; each cell builds its generator lifts
+    when first asked for them."""
     partition = validate(spec)
     graded = build_graded_group(partition)
     rhos = tuple(build_rho(spec, c, partition, graded) for c in range(1, spec.k + 1))
@@ -192,7 +195,7 @@ def _injective_variants(source: FgAbGroup, target: FgAbGroup):
     choices = []
     for ai in a:
         for bj in b:
-            g = _gcd(ai, bj)
+            g = gcd(ai, bj)
             choices.append([t * (bj // g) for t in range(g)])
     out = []
     from .abelian import column_span_basis, determinant, group_from_presentation
@@ -211,15 +214,9 @@ def _injective_variants(source: FgAbGroup, target: FgAbGroup):
     return out
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def assemble_diagonals(page: E2Page, report: DifferentialReport,
                        part: str = "real",
-                       ext_bound: int = 2 ** 16):
+                       ext_bound: int = DEFAULT_EXTENSION_BOUND):
     """Collect the filtration factors of each total degree and classify it."""
     period = _period(part)
     out = []

@@ -1,4 +1,5 @@
 import random
+from itertools import product as cartesian
 
 import pytest
 
@@ -8,6 +9,7 @@ from kktheory.abelian import (
     FgAbGroup,
     GroupHom,
     InfiniteInput,
+    HomologyResult,
     IntMatrix,
     NotChainMap,
     NotWellDefined,
@@ -31,7 +33,10 @@ from kktheory.abelian import (
     zero_hom,
 )
 
-from helpers import oracle_homology_invariants, random_finite_complex
+from kktheory.abelian import _diagonal_homology, _lattice_homology
+from kktheory.spectral import compute_e2
+
+from helpers import oracle_homology_invariants, random_finite_complex, random_valid_spec
 
 
 def symmetric_b(n):
@@ -87,6 +92,22 @@ def test_snf_random_properties():
         assert all(e >= 0 for e in diag)
         for a, b in zip(diag, diag[1:]):
             assert b == 0 if a == 0 else b % a == 0
+
+
+def test_diagonal_only_snf_matches_full_decomposition():
+    rng = random.Random(4711)
+    shapes = [(0, 0), (0, 4), (4, 0), (3, 3), (2, 5)]
+    shapes += [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(80)]
+    for idx, (rows, cols) in enumerate(shapes):
+        if idx < 5:
+            m = IntMatrix.zeros(rows, cols)
+        else:
+            m = IntMatrix(rows, cols,
+                          [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)])
+        bare = smith_normal_form(m, transforms=False)
+        assert bare.diagonal == smith_normal_form(m).diagonal
+        assert len(bare.diagonal) == min(rows, cols)
+        assert bare.u is bare.v is bare.u_inv is bare.v_inv is None
 
 
 def test_matrix_shape_checks_and_immutability():
@@ -268,6 +289,65 @@ def test_homology_lift_round_trip_mixed_torsion():
     for i in range(h.lift.cols):
         coords = h.express(h.lift.col(i))
         assert coords == tuple(1 if j == i else 0 for j in range(h.lift.cols))
+
+
+def test_diagonal_cells_match_the_lattice_path():
+    """Every cell read from Smith diagonals (free or F_p middle) has the group
+    the kernel lattice gives, and its lazily built lifts round-trip."""
+    rng = random.Random(2718)
+    read = {"free": 0, "elementary": 0}
+    for _ in range(12):
+        page = compute_e2(random_valid_spec(rng))
+        for cx in page.complexes.values():
+            for p in range(cx.k + 1):
+                d_in, d_out = cx.boundary(p + 1), cx.boundary(p)
+                if _diagonal_homology(d_in, d_out) is None:
+                    continue
+                read["elementary" if d_in.target.relations.cols else "free"] += 1
+                h = homology(d_in, d_out)
+                group, _ = _lattice_homology(d_in.matrix, d_in.target, d_out)
+                assert group == h.group
+                n = h.lift.cols
+                assert n == h.group.generator_count()
+                for i in range(n):
+                    assert h.express(h.lift.col(i)) == tuple(int(j == i) for j in range(n))
+    assert read["free"] and read["elementary"]
+
+
+def test_elementary_middles_match_the_element_oracle():
+    """Z_p^n middles, with boundary entries left unreduced (so Smith diagonals
+    carry nonzero multiples of p); Z_2^n middles are read from diagonals."""
+    rng = random.Random(1618)
+    for _ in range(40):
+        p = rng.choice([2, 3, 5])
+        n, m = rng.randint(1, 3), rng.randint(0, 2)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        kernel = [x for x in cartesian(range(p), repeat=n)
+                  if all(sum(r * v for r, v in zip(row, x)) % p == 0 for row in a)]
+        cols = [[v + p * rng.randint(-2, 2) for v in rng.choice(kernel)]
+                for _ in range(rng.randint(0, 3))]
+        middle = FgAbGroup.from_invariants([p] * n)
+        d_in = GroupHom(free_group(len(cols)), middle,
+                        IntMatrix.from_columns(cols, rows=n))
+        d_out = GroupHom(middle, FgAbGroup.from_invariants([p] * m), IntMatrix(m, n, a))
+        assert (_diagonal_homology(d_in, d_out) is not None) == (p == 2)
+        h = homology(d_in, d_out)
+        f_rows = [[c[i] for c in cols] for i in range(n)]
+        assert h.group.invariant_factors == oracle_homology_invariants(
+            f_rows, [p] * n, a, [p] * m)
+        assert h.group.free_rank == 0
+
+
+def test_lazy_lattice_rejects_a_wrong_diagonal_group():
+    z = free_group(1)
+    d_in = GroupHom(z, z, IntMatrix.from_rows([[2]]))
+    d_out = zero_hom(z, trivial_group())
+    right = homology(d_in, d_out)
+    assert right.group == cyclic_group(2)
+    wrong = HomologyResult(cyclic_group(3), right.middle, right.boundary_in,
+                           right.boundary_out)
+    with pytest.raises(RuntimeError):
+        wrong.lift
 
 
 def test_homology_matches_element_oracle():

@@ -141,6 +141,19 @@ def test_infinite_cells_surface_as_computation_error(tmp_path):
     assert "InfiniteInput" in err
 
 
+def test_value_error_inside_the_computation_is_exit_3(tmp_path, monkeypatch):
+    from kktheory import spectral
+
+    def broken(mu_groups):
+        raise ValueError("broken rank table")
+
+    monkeypatch.setattr(spectral, "_mu_ranks", broken)
+    path = write_input(tmp_path, "ov.json", one_vertex_doc(4, 4))
+    code, out, err = run_cli(["compute", path])
+    assert code == 3 and out == ""
+    assert "ValueError: broken rank table" in err
+
+
 def test_emit_flags(tmp_path):
     path = write_input(tmp_path, "sym.json", symmetric_doc(2))
     code, out, _ = run_cli(["compute", path, "--emit-intermediate", "--emit-lifts"])

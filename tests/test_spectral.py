@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from kktheory import abelian
 from kktheory.abelian import (
     FgAbGroup,
     GroupHom,
@@ -364,6 +365,29 @@ def test_random_pages_are_periodic_and_square_zero():
             for q in range(8):
                 assert page.group("real", p, q) == page.group("real", p, q + 8)
                 assert page.group("complex", p, q) == page.group("complex", p, q + 2)
+
+
+def test_all_zero_page_builds_no_kernel_lattice(monkeypatch):
+    """Input S (k = 4, six vertices, trivial involution): every middle group is
+    free or an F_2-space, so the page is read from Smith diagonals alone."""
+    rng = random.Random(1)
+    spec = [random_valid_spec(rng, k=k, nv=nv)
+            for k, nv in [(2, 4), (3, 4), (3, 6), (4, 4), (4, 6)]][-1]
+    assert (spec.k, spec.vertex_count) == (4, 6)
+    assert spec.involution == tuple(range(6))
+
+    def refuse(h):
+        raise AssertionError("a kernel lattice was built")
+
+    monkeypatch.setattr(abelian, "kernel_lattice", refuse)
+    page = compute_e2(spec)
+    assert all(cell.group.is_trivial for cell in page.cells.values())
+    report = differential_report(page)
+    assert report.is_empty
+    for part in ("real", "complex"):
+        for asm in assemble_diagonals(page, report, part):
+            assert asm.status == "determined"
+            assert asm.candidates[0].is_trivial
 
 
 def test_ambiguous_complex_part_is_flagged():
