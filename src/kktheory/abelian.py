@@ -19,8 +19,8 @@ ever touches floating point, so results are exact at any size.  The pieces:
   Free and elementary middle groups are read from Smith diagonals; their
   lifts are built only when asked for.
 * ``extension_candidates`` -- the isomorphism classes of finite abelian groups
-  admitting a given subgroup with a given quotient, found by exhaustive
-  enumeration.
+  admitting a given subgroup with a given quotient, read prime by prime by the
+  Hall / Littlewood-Richardson criterion.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _cartesian
-from math import gcd, prod
+from math import prod
 
 
 class CompositionNotZero(Exception):
@@ -204,33 +204,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.tolist()})"
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -834,66 +807,90 @@ def _partitions(n):
     yield from rec(n, n)
 
 
-def abelian_groups_of_order(n: int):
-    """All isomorphism classes of abelian groups of order n, deterministically."""
-    if n <= 0:
-        raise ValueError("order must be positive")
-    per_prime = []
-    for p, e in sorted(_factorint(n).items()):
-        per_prime.append([(p, part) for part in _partitions(e)])
-    groups = []
-    for combo in _cartesian(*per_prime) if per_prime else [()]:
-        divisors = [p ** e for p, part in combo for e in part]
-        groups.append(FgAbGroup.from_invariants(divisors))
+def _groups_of_types(types):
+    """The groups whose p-part has type lam, for each (p, lams) in ``types``
+    and each choice of one lam per prime, sorted by invariant factors."""
+    per_prime = [[[p ** e for e in lam] for lam in lams] for p, lams in types]
+    groups = [FgAbGroup.from_invariants([d for part in combo for d in part])
+              for combo in _cartesian(*per_prime)]
     groups.sort(key=lambda g: g.invariant_factors)
     return groups
 
 
-def _admits_extension(g: FgAbGroup, sub: FgAbGroup, quot: FgAbGroup) -> bool:
-    """Does g contain a copy of sub with quotient quot?  Checked by listing
-    every homomorphism sub -> g and testing injectivity plus quotient type."""
-    a = sub.invariant_factors
-    b = g.invariant_factors
-    m = len(b)
-    sub_order = sub.order()
-    g_order = g.order()
-    diag_b = IntMatrix.diagonal(list(b), rows=m, cols=m)
-    entry_choices = []
-    for ai in a:
-        col_choices = []
-        for bj in b:
-            gcd_ab = gcd(ai, bj)
-            step = bj // gcd_ab
-            col_choices.append([t * step for t in range(gcd_ab)])
-        entry_choices.append(col_choices)
-    # all homs: pick each matrix entry independently
-    flat_choices = [c for col in entry_choices for c in col]
-    for flat in _cartesian(*flat_choices) if flat_choices else [()]:
-        cols = [flat[i * m:(i + 1) * m] for i in range(len(a))]
-        hom = IntMatrix.from_columns(cols, rows=m)
-        span = IntMatrix.hstack(hom, diag_b)
-        basis = column_span_basis(span)
-        image_order = g_order // abs(determinant(basis))
-        if image_order != sub_order:
-            continue
-        if group_from_presentation(span) == quot:
-            return True
-    return False
+def abelian_groups_of_order(n: int):
+    """All isomorphism classes of abelian groups of order n, deterministically."""
+    if n <= 0:
+        raise ValueError("order must be positive")
+    return _groups_of_types((p, _partitions(e)) for p, e in sorted(_factorint(n).items()))
+
+
+def _prime_type(g: FgAbGroup, p: int):
+    """The partition of exponents of p in the invariant factors of g."""
+    exps = []
+    for d in reversed(g.invariant_factors):
+        e = 0
+        while d % p == 0:
+            d //= p
+            e += 1
+        if e:
+            exps.append(e)
+    return tuple(exps)
+
+
+def _horizontal_strips(shape, size, prev):
+    """Row counts of the horizontal strips of ``size`` boxes added to
+    ``shape`` whose label keeps the reading word a lattice word after the
+    previous label, placed with row counts ``prev`` (None for the first)."""
+    def rec(r, left, placed, allowed):
+        if r == len(shape):
+            if left == 0:
+                yield ()
+            return
+        room = left if r == 0 else min(left, shape[r - 1] - shape[r])
+        if prev is not None:
+            room = min(room, allowed - placed)
+            allowed += prev[r]
+        for a in range(room + 1):
+            for rest in rec(r + 1, left - a, placed + a, allowed):
+                yield (a,) + rest
+
+    yield from rec(0, size, 0, 0)
+
+
+def _lr_shapes(mu, nu):
+    """Every partition lam with Littlewood-Richardson coefficient
+    c^lam_{mu nu} != 0.
+
+    An LR tableau of shape lam/mu and content nu is built one label at a time:
+    label i fills a horizontal strip of nu[i] boxes, and reading right to left,
+    top to bottom stays a lattice word, i.e. in each row r the (i+1)-labels in
+    rows <= r number at most the i-labels in rows < r.  A partial tableau
+    matters only through its shape and its last strip, so the search keeps a
+    set of such pairs.
+    """
+    states = {(tuple(mu) + (0,) * len(nu), None)}
+    for size in nu:
+        states = {(tuple(x + a for x, a in zip(shape, strip)), strip)
+                  for shape, prev in states
+                  for strip in _horizontal_strips(shape, size, prev)}
+    return sorted({tuple(x for x in shape if x) for shape, _ in states})
 
 
 def extension_candidates(sub: FgAbGroup, quot: FgAbGroup,
                          order_bound: int = DEFAULT_EXTENSION_BOUND):
-    """Isomorphism classes of finite abelian G with sub <= G and G/sub == quot.
+    """Isomorphism classes of finite abelian G with sub <= G and G/sub == quot,
+    sorted by invariant factors.
 
-    Enumerates every abelian group of order |sub| * |quot| (indexed by
-    partitions of the prime exponents) and keeps those passing an exhaustive
-    subgroup-with-quotient test.  The direct sum sub + quot always appears.
+    G is the product of its p-parts.  By Hall's theorem (Macdonald, *Symmetric
+    Functions and Hall Polynomials*, ch. II) a finite abelian p-group of type
+    lam has a subgroup of type mu with quotient of type nu exactly when the
+    Littlewood-Richardson coefficient c^lam_{mu nu} is nonzero, so the p-parts
+    are the lam of ``_lr_shapes``.  The direct sum sub + quot always appears.
     """
     if not sub.is_finite or not quot.is_finite:
         raise InfiniteInput("extension enumeration needs finite groups")
     total = sub.order() * quot.order()
     if total > order_bound:
         raise BoundExceeded(f"order {total} exceeds bound {order_bound}")
-    found = [g for g in abelian_groups_of_order(total)
-             if _admits_extension(g, sub, quot)]
-    return found
+    return _groups_of_types((p, _lr_shapes(_prime_type(sub, p), _prime_type(quot, p)))
+                            for p in sorted(_factorint(total)))

@@ -7,7 +7,7 @@ determined by the data in scope, so this module never guesses one: it reports
 every position where a nonzero d^r is degree-possible, and for each affected
 diagonal emits both the d2 = 0 and the d2 != 0 outcomes.  K-groups are
 assembled per diagonal up to the reported ambiguities; extension problems are
-resolved only to an exhaustively enumerated candidate set.
+resolved only to the set of all candidate groups, read from Hall's theorem.
 
 The complex K-groups together with the involution psi feed the 2-torsion core:
 MU_q = ker(1 - psi_q) / im(1 + psi_q), and the MO_q groups are constrained by
@@ -15,14 +15,14 @@ a 24-term periodic exact sequence
 
     ... -> MO_i --eta'--> MO_{i+1} --c'--> MU_i --r'--> MO_{i-2} -> ...
 
-which the solver enumerates exhaustively at the level of Z_2-ranks.
+which the solver enumerates at the level of Z_2-ranks by a depth-first
+search that checks every MO term as soon as it is determined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as _cartesian
-from math import gcd
 
 from .abelian import (
     DEFAULT_EXTENSION_BOUND,
@@ -32,6 +32,7 @@ from .abelian import (
     HomologyResult,
     InfiniteInput,
     IntMatrix,
+    abelian_groups_of_order,
     extension_candidates,
     homology,
     induced_hom,
@@ -181,37 +182,19 @@ def _fold_extensions(groups, ext_bound):
 
 
 def _injective_variants(source: FgAbGroup, target: FgAbGroup):
-    """Cokernel classes of injective maps source -> target (finite source).
+    """Cokernel classes of injective maps source -> target (finite cells),
+    sorted by invariant factors.
 
-    Enumerates homomorphisms between the canonical forms; used only to spell
-    out the possible d2 != 0 outcomes, never to pick one.
+    An injection with cokernel nu exists exactly when target is an extension
+    of source by nu.  Used only to spell out the possible d2 != 0 outcomes,
+    never to pick one; a zero source gives none.
     """
-    a = source.invariant_factors
-    b = target.invariant_factors
     if source.free_rank or target.free_rank:
         raise InfiniteInput("differential variant enumeration needs finite cells")
-    m = len(b)
-    diag_b = IntMatrix.diagonal(list(b), rows=m, cols=m)
-    choices = []
-    for ai in a:
-        for bj in b:
-            g = gcd(ai, bj)
-            choices.append([t * (bj // g) for t in range(g)])
-    out = []
-    from .abelian import column_span_basis, determinant, group_from_presentation
-    for flat in _cartesian(*choices) if choices else [()]:
-        cols = [flat[i * m:(i + 1) * m] for i in range(len(a))]
-        hom = IntMatrix.from_columns(cols, rows=m)
-        if hom.is_zero():
-            continue
-        span = IntMatrix.hstack(hom, diag_b)
-        image_order = (target.order() or 0) // abs(determinant(column_span_basis(span)))
-        if image_order != source.order():
-            continue
-        coker = group_from_presentation(span)
-        if coker not in out:
-            out.append(coker)
-    return out
+    if source.is_trivial or target.order() % source.order():
+        return []
+    return [nu for nu in abelian_groups_of_order(target.order() // source.order())
+            if target in extension_candidates(source, nu, target.order())]
 
 
 def assemble_diagonals(page: E2Page, report: DifferentialReport,
@@ -435,52 +418,50 @@ def _enumerate_cycle(start, mu, bound, constraints):
     """All consistent (mo vector, eta ranks) pairs derivable from one cycle.
 
     In the cycle every term rank is the sum of the two adjacent image ranks,
-    so choosing the four eta image ranks and the four c/r splits at the MU
-    terms determines the whole mo vector.
+    so the four eta image ranks and the four c/r splits at the MU terms
+    determine the whole mo vector.  They are chosen depth first in the order
+    eta_0, c_0, eta_1, c_1, ..., and each MO term is checked against the rank
+    bound, the known ranks and the rank bounds as soon as its two image ranks
+    are fixed; arrow facts are checked once all of them are.
     """
     segs = _core_cycle(start)
+    known, caps = constraints.known_mo, constraints.mo_bounds
+    lo = [known.get(q, 0) for q in range(8)]
+    hi = [min(bound, caps.get(q, bound), known.get(q, bound)) for q in range(8)]
     results = {}
-    eta_range = range(bound + 1)
-    c_ranges = [range(mu[s] + 1) for s in segs]
-    for etas in _cartesian(*([eta_range] * 4)):
-        for cs in _cartesian(*c_ranges):
-            mo = {}
-            ok = True
-            for t, s in enumerate(segs):
-                mo[(s + 1) % 8] = etas[t] + cs[t]
-                nxt = segs[(t + 1) % 4]
-                mo[nxt] = (mu[s] - cs[t]) + etas[(t + 1) % 4]
-            for q, rank in mo.items():
-                if rank > bound:
-                    ok = False
-                    break
-                if q in constraints.known_mo and constraints.known_mo[q] != rank:
-                    ok = False
-                    break
-                if q in constraints.mo_bounds and rank > constraints.mo_bounds[q]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for t, s in enumerate(segs):
-                v_eta, v_c = etas[t], cs[t]
-                v_r = mu[s] - cs[t]
-                fact = constraints.arrows.get(("eta", s))
-                if fact and not _arrow_fact_ok(fact, v_eta, mo[s], mo[(s + 1) % 8]):
-                    ok = False
-                    break
-                fact = constraints.arrows.get(("c", s))
-                if fact and not _arrow_fact_ok(fact, v_c, mo[(s + 1) % 8], mu[s]):
-                    ok = False
-                    break
-                fact = constraints.arrows.get(("r", s))
-                if fact and not _arrow_fact_ok(fact, v_r, mu[s], mo[(s - 2) % 8]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            key = tuple(mo[q] for q in range(8))
-            results.setdefault(key, []).append({s: e for s, e in zip(segs, etas)})
+
+    def allowed(q, base, top):
+        """The x in 0..top with lo[q] <= base + x <= hi[q]."""
+        return range(max(0, lo[q] - base), min(top, hi[q] - base) + 1)
+
+    def leaf(etas, cs):
+        mo = {}
+        for t, s in enumerate(segs):
+            mo[(s + 1) % 8] = etas[t] + cs[t]
+            mo[segs[(t + 1) % 4]] = (mu[s] - cs[t]) + etas[(t + 1) % 4]
+        for t, s in enumerate(segs):
+            for arrow, v, src_rank, tgt_rank in (
+                    (("eta", s), etas[t], mo[s], mo[(s + 1) % 8]),
+                    (("c", s), cs[t], mo[(s + 1) % 8], mu[s]),
+                    (("r", s), mu[s] - cs[t], mu[s], mo[(s - 2) % 8])):
+                fact = constraints.arrows.get(arrow)
+                if fact and not _arrow_fact_ok(fact, v, src_rank, tgt_rank):
+                    return
+        key = tuple(mo[q] for q in range(8))
+        results.setdefault(key, []).append(dict(zip(segs, etas)))
+
+    def descend(etas, cs):
+        t = len(etas)
+        if t == 4:
+            if lo[segs[0]] <= (mu[segs[3]] - cs[3]) + etas[0] <= hi[segs[0]]:
+                leaf(etas, cs)
+            return
+        s = segs[t]
+        for eta in allowed(s, mu[segs[t - 1]] - cs[t - 1], bound) if t else range(bound + 1):
+            for c in allowed((s + 1) % 8, eta, mu[s]):
+                descend(etas + (eta,), cs + (c,))
+
+    descend((), ())
     return results
 
 
@@ -557,7 +538,7 @@ def compute_core(spec: KGraphSpec, page: E2Page | None = None,
                     constraints=constraints, solutions=solutions)
 
 
-def derive_core_constraints(assemblies, mu_groups=None) -> CoreConstraints:
+def derive_core_constraints(assemblies) -> CoreConstraints:
     """Constraints that follow from the determined real diagonals alone.
 
     A determined KO_q = 0 forces MO_q = 0 and MO_{q+1} = 0; a determined

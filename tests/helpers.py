@@ -1,15 +1,25 @@
 """Shared test utilities: random valid inputs and independent oracles.
 
-The oracles here deliberately avoid the library's Smith-form machinery:
-homology is recomputed by enumerating group elements, and core tables are
-re-verified by direct rank propagation around the exact cycles.
+The homology and core oracles deliberately avoid the library's Smith-form
+machinery: homology is recomputed by enumerating group elements, and core
+tables are re-verified by direct rank propagation around the exact cycles.
+Brute-force enumerators (every homomorphism for extensions and d2 variants,
+the full sweep of one core cycle) are the oracles for the library's
+combinatorial answers to the same questions.
 """
 
 from itertools import product as cartesian
 import random
 
-from kktheory.abelian import FgAbGroup, GroupHom, IntMatrix, group_from_presentation
+from kktheory.abelian import (
+    FgAbGroup,
+    GroupHom,
+    IntMatrix,
+    abelian_groups_of_order,
+    group_from_presentation,
+)
 from kktheory.kgraph import KGraphSpec
+from kktheory.spectral import _arrow_fact_ok, _core_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +273,132 @@ def core_table_consistent(mo_ranks, mu_ranks):
 
 def group_of(desc: str) -> FgAbGroup:
     return FgAbGroup.from_description(desc)
+
+
+# ---------------------------------------------------------------------------
+# Exact determinant, and brute-force extension, d2-variant and core-cycle
+# enumerators
+# ---------------------------------------------------------------------------
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _homs_between(a, b):
+    """Every hom prod Z_a -> prod Z_b as a matrix of entry choices, one
+    column per generator of the source."""
+    m = len(b)
+    choices = []
+    for ai in a:
+        for bj in b:
+            g = _gcd(ai, bj)
+            choices.append([t * (bj // g) for t in range(g)])
+    for flat in cartesian(*choices):
+        yield IntMatrix.from_columns([flat[i * m:(i + 1) * m] for i in range(len(a))],
+                                     rows=m)
+
+
+def _cokernels(sub: FgAbGroup, g: FgAbGroup):
+    """The cokernel of every homomorphism sub -> g, one per hom."""
+    b = g.invariant_factors
+    diag_b = IntMatrix.diagonal(list(b), rows=len(b), cols=len(b))
+    for hom in _homs_between(sub.invariant_factors, b):
+        yield hom, group_from_presentation(IntMatrix.hstack(hom, diag_b))
+
+
+def admits_extension(g: FgAbGroup, sub: FgAbGroup, quot: FgAbGroup) -> bool:
+    """Does g contain a copy of sub with quotient quot?  Checked by listing
+    every homomorphism sub -> g.  When |g| = |sub| |quot|, a cokernel of type
+    quot has |g| / |sub| elements, so that hom is injective."""
+    assert g.order() == sub.order() * quot.order()
+    return any(coker == quot for _, coker in _cokernels(sub, g))
+
+
+def extension_candidates_by_homs(sub: FgAbGroup, quot: FgAbGroup):
+    """Every abelian group of order |sub| |quot| that passes ``admits_extension``."""
+    return [g for g in abelian_groups_of_order(sub.order() * quot.order())
+            if admits_extension(g, sub, quot)]
+
+
+def injective_variants_by_homs(source: FgAbGroup, target: FgAbGroup):
+    """Cokernel classes of the nonzero injective homs source -> target, in
+    hom-enumeration order.  A hom is injective when its cokernel has
+    |target| / |source| elements."""
+    out = []
+    for hom, coker in _cokernels(source, target):
+        if (not hom.is_zero() and coker.order() * source.order() == target.order()
+                and coker not in out):
+            out.append(coker)
+    return out
+
+
+def enumerate_cycle_by_sweep(start, mu, bound, constraints):
+    """The full sweep of one core cycle: every choice of the four eta image
+    ranks and the four c/r splits, each checked in full."""
+    segs = _core_cycle(start)
+    results = {}
+    eta_range = range(bound + 1)
+    c_ranges = [range(mu[s] + 1) for s in segs]
+    for etas in cartesian(*([eta_range] * 4)):
+        for cs in cartesian(*c_ranges):
+            mo = {}
+            ok = True
+            for t, s in enumerate(segs):
+                mo[(s + 1) % 8] = etas[t] + cs[t]
+                nxt = segs[(t + 1) % 4]
+                mo[nxt] = (mu[s] - cs[t]) + etas[(t + 1) % 4]
+            for q, rank in mo.items():
+                if rank > bound:
+                    ok = False
+                    break
+                if q in constraints.known_mo and constraints.known_mo[q] != rank:
+                    ok = False
+                    break
+                if q in constraints.mo_bounds and rank > constraints.mo_bounds[q]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            for t, s in enumerate(segs):
+                v_eta, v_c = etas[t], cs[t]
+                v_r = mu[s] - cs[t]
+                fact = constraints.arrows.get(("eta", s))
+                if fact and not _arrow_fact_ok(fact, v_eta, mo[s], mo[(s + 1) % 8]):
+                    ok = False
+                    break
+                fact = constraints.arrows.get(("c", s))
+                if fact and not _arrow_fact_ok(fact, v_c, mo[(s + 1) % 8], mu[s]):
+                    ok = False
+                    break
+                fact = constraints.arrows.get(("r", s))
+                if fact and not _arrow_fact_ok(fact, v_r, mu[s], mo[(s - 2) % 8]):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            key = tuple(mo[q] for q in range(8))
+            results.setdefault(key, []).append({s: e for s, e in zip(segs, etas)})
+    return results

@@ -15,7 +15,6 @@ from kktheory.abelian import (
     NotWellDefined,
     abelian_groups_of_order,
     cyclic_group,
-    determinant,
     direct_sum,
     extension_candidates,
     free_group,
@@ -36,7 +35,13 @@ from kktheory.abelian import (
 from kktheory.abelian import _diagonal_homology, _lattice_homology
 from kktheory.spectral import compute_e2
 
-from helpers import oracle_homology_invariants, random_finite_complex, random_valid_spec
+from helpers import (
+    determinant,
+    extension_candidates_by_homs,
+    oracle_homology_invariants,
+    random_finite_complex,
+    random_valid_spec,
+)
 
 
 def symmetric_b(n):
@@ -470,3 +475,15 @@ def test_extension_bounds_and_infinite_inputs():
         extension_candidates(cyclic_group(1024), cyclic_group(1024), order_bound=1000)
     with pytest.raises(InfiniteInput):
         extension_candidates(free_group(1), cyclic_group(2))
+
+
+def test_extension_candidates_match_the_hom_enumeration_oracle():
+    """Hall's theorem against every hom sub -> G, on all |sub| |quot| <= 16."""
+    groups = {n: abelian_groups_of_order(n) for n in range(1, 17)}
+    pairs = [(sub, quot) for a in range(1, 17) for b in range(1, 16 // a + 1)
+             for sub in groups[a] for quot in groups[b]]
+    assert len(pairs) == 79
+    for sub, quot in pairs:
+        assert extension_candidates(sub, quot) == extension_candidates_by_homs(sub, quot), \
+            (sub, quot)
+        smith_normal_form.cache_clear()  # the oracle leaves one entry per hom

@@ -19,7 +19,6 @@ from kktheory.abelian import (
     FgAbGroup,
     IntMatrix,
     cyclic_group,
-    determinant,
     smith_normal_form,
     trivial_group,
 )
@@ -45,6 +44,7 @@ from kktheory.spectral import (
 
 from helpers import (
     asymmetric_three_vertex_spec,
+    determinant,
     one_vertex_spec,
     oracle_homology_invariants,
     random_finite_complex,

@@ -1,13 +1,14 @@
 import io
 import json
+import random
 
 import pytest
 
-from kktheory.abelian import FgAbGroup
+from kktheory.abelian import FgAbGroup, smith_normal_form
 from kktheory.cli import JobConfig, ParseError, analyze, load_spec, main, render_text, run
 from kktheory.spectral import compute_e2
 
-from helpers import group_of
+from helpers import group_of, random_valid_spec, symmetric_three_vertex_spec
 
 
 def write_input(tmp_path, name, doc):
@@ -196,3 +197,38 @@ def test_render_text_matches_analyze(tmp_path):
     assert "solution 2:" in text
     code = run(JobConfig(input_path=path), stdout=io.StringIO(), stderr=io.StringIO())
     assert code == 0
+
+
+def spec_doc(spec):
+    return {"k": spec.k, "vertices": list(spec.vertices),
+            "involution": list(spec.involution),
+            "matrices": [m.tolist() for m in spec.matrices]}
+
+
+def random_doc(k, nv, seed):
+    return spec_doc(random_valid_spec(random.Random(seed), k=k, nv=nv))
+
+
+@pytest.mark.parametrize("name, doc, code", [
+    ("symmetric-8", spec_doc(symmetric_three_vertex_spec(8)), 0),
+    ("random-3-4-3", random_doc(3, 4, 3), 0),
+    ("random-4-4-3", random_doc(4, 4, 3), 0),
+    ("random-3-5-7", random_doc(3, 5, 7), 0),
+    ("random-2-6-2", random_doc(2, 6, 2), 4),
+])
+def test_inputs_with_large_extension_searches_finish(tmp_path, name, doc, code):
+    # each needs large extension and d2-variant searches; (2,6,2) must stop
+    # at the default order bound instead of running on
+    path = write_input(tmp_path, f"{name}.json", doc)
+    got, out, err = run_cli(["compute", path])
+    assert got == code, err
+    if code == 4:
+        assert out == "" and err.startswith("BoundExceeded: order ")
+
+
+def test_one_run_keeps_the_snf_memo_small(tmp_path):
+    path = write_input(tmp_path, "sym8.json", spec_doc(symmetric_three_vertex_spec(8)))
+    smith_normal_form.cache_clear()
+    code, _, _ = run_cli(["compute", path])
+    assert code == 0
+    assert smith_normal_form.cache_info().currsize <= 200

@@ -8,15 +8,22 @@ from kktheory.abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    abelian_groups_of_order,
     cyclic_group,
     free_group,
     homology,
+    smith_normal_form,
     trivial_group,
     zero_hom,
 )
+from kktheory.cli import _assembly_json, _render_assembly_lines
 from kktheory.spectral import (
     CoreConstraints,
+    DifferentialEntry,
+    DifferentialReport,
     NoSolution,
+    _enumerate_cycle,
+    _injective_variants,
     assemble_diagonals,
     compute_e2,
     compute_ku_with_psi,
@@ -29,6 +36,8 @@ from kktheory.spectral import (
 from helpers import (
     asymmetric_three_vertex_spec,
     core_table_consistent,
+    enumerate_cycle_by_sweep,
+    injective_variants_by_homs,
     one_vertex_spec,
     random_valid_spec,
     symmetric_three_vertex_spec,
@@ -475,3 +484,76 @@ def test_compute_core_raises_when_ku_ambiguous():
     spec = KGraphSpec.from_lists(2, ["a", "b"], [m, m], [0, 1])
     with pytest.raises(AmbiguousComplexPart):
         compute_core(spec)
+
+
+# ---------------------------------------------------------------------------
+# Combinatorial answers against the brute-force enumerators
+# ---------------------------------------------------------------------------
+
+def test_injective_variants_match_the_hom_enumeration_oracle():
+    """Set and order, on every pair of groups of order <= 16."""
+    groups = [g for n in range(1, 17) for g in abelian_groups_of_order(n)]
+    multi = 0
+    for target in groups:
+        for source in groups:
+            found = _injective_variants(source, target)
+            assert found == injective_variants_by_homs(source, target), (source, target)
+            multi += len(found) > 1
+            smith_normal_form.cache_clear()  # the oracle leaves one entry per hom
+    assert multi == 5
+
+
+class _FactorPage:
+    """Just the part of an E2 page that diagonal assembly reads."""
+
+    def __init__(self, k, groups):
+        self.k = k
+        self.groups = groups
+
+    def group(self, part, p, q):
+        return self.groups.get((p, q % 8), trivial_group())
+
+
+def test_injective_variant_labels_follow_sorted_cokernels():
+    z2z4 = FgAbGroup.from_invariants([2, 4])
+    z2z2 = FgAbGroup.from_invariants([2, 2])
+    assert _injective_variants(Z2, z2z4) == [z2z2, cyclic_group(4)]
+    page = _FactorPage(2, {(2, 1): Z2, (0, 2): z2z4})
+    entry = DifferentialEntry(r=2, source=(2, 1), target=(0, 2), part="real",
+                              source_group=Z2, target_group=z2z4)
+    asm = assemble_diagonals(page, DifferentialReport((entry,)), "real")[2]
+    assert asm.status == "d2_ambiguous"
+    assert [(v.label, v.factors[0][2]) for v in asm.variants] == [
+        ("d2=0", z2z4), ("d2!=0 (1)", z2z2), ("d2!=0 (2)", cyclic_group(4))]
+    lines = _render_assembly_lines("KO", [_assembly_json(asm)])
+    assert [line.split(":")[0].strip() for line in lines[1:]] == [
+        "d2=0", "d2!=0 (1)", "d2!=0 (2)"]
+
+
+def _random_core_constraints(rng):
+    cons = CoreConstraints()
+    for q in range(8):
+        roll = rng.random()
+        if roll < 0.25:
+            cons.known_mo[q] = rng.randint(0, 3)
+        elif roll < 0.5:
+            cons.mo_bounds[q] = rng.randint(0, 4)
+    for _ in range(rng.randint(0, 3)):
+        arrow = (rng.choice(["eta", "c", "r"]), rng.randrange(8))
+        cons.arrows[arrow] = rng.choice(["zero", "injective", "surjective"])
+    return cons
+
+
+def test_pruned_core_search_matches_the_full_sweep():
+    """Same MO vectors with the same eta-rank sets, for both cycles."""
+    rng = random.Random(11)
+    bounds = [3, 4] * 10 + [8]
+    for trial, bound in enumerate(bounds):
+        mu = [rng.randint(0, 2) for _ in range(8)]
+        cons = _random_core_constraints(rng)
+        for start in (0, 1):
+            fast = _enumerate_cycle(start, mu, bound, cons)
+            slow = enumerate_cycle_by_sweep(start, mu, bound, cons)
+            assert {key: sorted(sorted(e.items()) for e in etas) for key, etas in fast.items()} \
+                == {key: sorted(sorted(e.items()) for e in etas) for key, etas in slow.items()}, \
+                (trial, start, mu, bound, cons)
