@@ -18,17 +18,16 @@ from .abelian import (
 )
 from .kgraph import KGraphError, KGraphSpec, VertexPartition, block_decompose, validate
 from .spectral import (
-    AmbiguousComplexPart,
     CoreConstraints,
-    CoreData,
     NoSolution,
+    PipelineResult,
     assemble_diagonals,
-    compute_core,
     compute_e2,
     compute_ku_with_psi,
     compute_mu,
     differential_report,
     enumerate_core_solutions,
+    run_pipeline,
 )
 
 __version__ = "0.1.0"

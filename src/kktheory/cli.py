@@ -1,4 +1,4 @@
-"""Batch front end: parse a k-graph description, run the pipeline, report.
+"""Batch front end: parse a k-graph description, run the pipeline, render.
 
 Input is a single JSON document
 
@@ -8,9 +8,11 @@ Input is a single JSON document
       "matrices": [ k row-major |V| x |V| integer matrices ] }
 
 where matrices[i][v][w] counts the color-(i+1) edges with source w and
-range v.  Output is a human-readable text report or a machine-readable JSON
-document (schema "kkth/1"); both are deterministic byte-for-byte for a fixed
-input.
+range v.  Every number must be a JSON integer: a float, string or boolean in
+its place is a parse error, not truncated.  The computation is one call of
+``spectral.run_pipeline``; this module only parses, serialises and renders.
+Output is a human-readable text report or a machine-readable JSON document
+(schema "kkth/1"); both are deterministic byte-for-byte for a fixed input.
 
 Exit codes: 0 success, 2 parse/validation error, 3 computation error,
 4 search bound exceeded.
@@ -24,16 +26,8 @@ import sys
 from dataclasses import dataclass
 
 from .abelian import DEFAULT_EXTENSION_BOUND, BoundExceeded, FgAbGroup, smith_normal_form
-from .kgraph import KGraphError, KGraphSpec, validate
-from .spectral import (
-    assemble_diagonals,
-    compute_e2,
-    compute_ku_with_psi,
-    compute_mu,
-    derive_core_constraints,
-    differential_report,
-    enumerate_core_solutions,
-)
+from .kgraph import KGraphError, KGraphSpec
+from .spectral import run_pipeline
 
 SCHEMA = "kkth/1"
 
@@ -84,6 +78,12 @@ def load_spec(path: str) -> KGraphSpec:
     if unknown:
         raise ParseError(f"unknown keys: {sorted(unknown)}")
     try:
+        for x in [doc["k"], *doc["involution"],
+                  *(x for m in doc["matrices"] for row in m for x in row)]:
+            if type(x) is not int:  # int() would truncate floats, read strings and bools
+                raise ParseError(f"non-integer value {json.dumps(x)}")
+        if not all(isinstance(v, str) for v in doc["vertices"]):
+            raise ParseError("vertex names must be strings")
         return KGraphSpec.from_lists(doc["k"], doc["vertices"],
                                      doc["matrices"], doc["involution"])
     except (TypeError, ValueError) as exc:
@@ -120,13 +120,10 @@ def _assembly_json(asm):
 
 
 def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
-    """Run the full pipeline and return the JSON-ready result document."""
-    page = compute_e2(spec)
+    """Run the pipeline once and return its JSON-ready result document."""
+    result = run_pipeline(spec, config.ext_bound, config.core_bound)
+    page, kupsi = result.page, result.kupsi
     partition = page.partition
-    report = differential_report(page)
-    real_asm = assemble_diagonals(page, report, "real", config.ext_bound)
-    cplx_asm = assemble_diagonals(page, report, "complex", config.ext_bound)
-    kupsi = compute_ku_with_psi(spec, page)
 
     doc = {
         "schema": SCHEMA,
@@ -152,10 +149,10 @@ def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
             {"r": e.r, "source": list(e.source), "target": list(e.target),
              "part": e.part, "source_group": _gstr(e.source_group),
              "target_group": _gstr(e.target_group)}
-            for e in report.entries
+            for e in result.report.entries
         ],
-        "ko": [_assembly_json(a) for a in real_asm],
-        "ku_diagonals": [_assembly_json(a) for a in cplx_asm],
+        "ko": [_assembly_json(a) for a in result.real],
+        "ku_diagonals": [_assembly_json(a) for a in result.cplx],
     }
 
     if kupsi.ambiguous:
@@ -168,16 +165,14 @@ def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
             "groups": [_gstr(kupsi.ku[q]) for q in range(8)],
             "psi": [_psi_json(kupsi, q) for q in range(8)],
         }
-        mu = compute_mu(kupsi.ku, kupsi.psi)
-        doc["mu"] = [_gstr(g) for g in mu]
-        constraints = derive_core_constraints(real_asm)
-        solutions = enumerate_core_solutions(mu, constraints, config.core_bound)
+        doc["mu"] = [_gstr(g) for g in result.mu]
+        constraints = result.constraints
         doc["core"] = {
             "constraints": {
                 "known_mo": {str(q): r for q, r in sorted(constraints.known_mo.items())},
                 "mo_rank_bounds": {str(q): r for q, r in sorted(constraints.mo_bounds.items())},
             },
-            "solutions": [[_gstr(g) for g in table] for table in solutions],
+            "solutions": [[_gstr(g) for g in table] for table in result.solutions],
         }
 
     if config.emit_intermediate:
@@ -329,21 +324,25 @@ def render_text(doc: dict) -> str:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _input_error(exc, stderr) -> int:
+    name = type(exc).__name__
+    message = str(exc)
+    # KGraphErrors other than MalformedShape already render as Name(args)
+    print(message if message.startswith(name) else f"{name}: {message}", file=stderr)
+    return 2
+
+
 def run(config: JobConfig, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
         spec = load_spec(config.input_path)
-        validate(spec)
-    except (ParseError, KGraphError, ValueError) as exc:
-        name = type(exc).__name__
-        message = str(exc)
-        # KGraphSpec errors already render as Name(args)
-        print(message if message.startswith(name) else f"{name}: {message}",
-              file=stderr)
-        return 2
+    except (ParseError, ValueError) as exc:  # ValueError: not UTF-8, or an overlong integer
+        return _input_error(exc, stderr)
     try:
         doc = analyze(spec, config)
+    except KGraphError as exc:  # validation is the pipeline's first stage
+        return _input_error(exc, stderr)
     except BoundExceeded as exc:
         print(f"BoundExceeded: {exc}", file=stderr)
         return 4

@@ -19,6 +19,10 @@ class KGraphError(Exception):
     pass
 
 
+class MalformedShape(KGraphError, ValueError):
+    """Wrong rank, matrix count or size, or involution length."""
+
+
 class NegativeEntry(KGraphError):
     def __init__(self, color, v, w):
         self.color, self.v, self.w = color, v, w
@@ -103,19 +107,19 @@ class VertexPartition:
 def validate(spec: KGraphSpec) -> VertexPartition:
     """Check every structural constraint and return the canonical partition.
 
-    Raises NegativeEntry, NonCommutingMatrices, SourceAtVertex, NotInvolutive
-    or IncompatibleInvolution; malformed shapes raise ValueError.
+    Raises MalformedShape, NegativeEntry, NonCommutingMatrices,
+    SourceAtVertex, NotInvolutive or IncompatibleInvolution, all KGraphErrors.
     """
     nv = spec.vertex_count
     if spec.k < 1:
-        raise ValueError("rank k must be at least 1")
+        raise MalformedShape("rank k must be at least 1")
     if len(spec.matrices) != spec.k:
-        raise ValueError(f"expected {spec.k} adjacency matrices, got {len(spec.matrices)}")
+        raise MalformedShape(f"expected {spec.k} adjacency matrices, got {len(spec.matrices)}")
     for idx, m in enumerate(spec.matrices):
         if m.shape != (nv, nv):
-            raise ValueError(f"matrix {idx + 1} is {m.shape}, expected {nv}x{nv}")
+            raise MalformedShape(f"matrix {idx + 1} is {m.shape}, expected {nv}x{nv}")
     if len(spec.involution) != nv:
-        raise ValueError("involution must list one image per vertex")
+        raise MalformedShape("involution must list one image per vertex")
 
     for idx, m in enumerate(spec.matrices):
         for v in range(nv):

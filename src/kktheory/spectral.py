@@ -17,6 +17,11 @@ a 24-term periodic exact sequence
 
 which the solver enumerates at the level of Z_2-ranks by a depth-first
 search that checks every MO term as soon as it is determined.
+
+``run_pipeline`` is the one pass over a k-graph: validation and the E2 page
+(``compute_e2``), the differential report, both diagonal assemblies, KU with
+psi, MU and the core solutions.  Each stage runs once and hands its result to
+the next; the command line only renders the returned ``PipelineResult``.
 """
 
 from __future__ import annotations
@@ -41,10 +46,6 @@ from .abelian import (
 from .crmodule import COMPLEX_PERIOD, REAL_PERIOD, build_graded_group, build_rho, psi_on_A
 from .koszul import build_complex, index_tuples
 from .kgraph import KGraphSpec, VertexPartition, validate
-
-
-class AmbiguousComplexPart(Exception):
-    """The complex-part diagonals do not determine the KU groups."""
 
 
 class NoSolution(Exception):
@@ -261,11 +262,6 @@ class KuPsiResult:
     ku: tuple | None        # 8 FgAbGroups
     psi: tuple | None       # 8 GroupHoms on the canonical KU groups
 
-    def require_determined(self):
-        if self.ambiguous:
-            raise AmbiguousComplexPart(self.reason or "complex part ambiguous")
-        return self
-
     def psi_scalar(self, q: int):
         """psi_q as an integer when KU_q is cyclic: the residue a with
         psi(x) = a x, reduced into (-n/2, n/2] for Z_n.  None otherwise."""
@@ -296,15 +292,14 @@ def _normalize_endo(group: FgAbGroup, mat: IntMatrix) -> IntMatrix:
     return IntMatrix(mat.rows, mat.cols, rows)
 
 
-def compute_ku_with_psi(spec: KGraphSpec, page: E2Page) -> KuPsiResult:
+def compute_ku_with_psi(page: E2Page, report: DifferentialReport) -> KuPsiResult:
     """KU_q read off the complex diagonals; psi induced by the coordinate
     swap of paired vertices, extended by psi_{q+2} = -psi_q.
 
-    When a complex diagonal carries more than one nonzero factor, or a
-    nonzero complex differential is possible, the result is returned flagged
-    ambiguous instead of guessing.
+    When a complex diagonal carries more than one nonzero factor, or the
+    report lists a possible nonzero complex differential, the result is
+    returned flagged ambiguous instead of guessing.
     """
-    report = differential_report(page)
     complex_entries = [e for e in report.entries if e.part == "complex"]
     if complex_entries:
         return KuPsiResult(True, "possible nonzero differential in the complex part",
@@ -319,8 +314,7 @@ def compute_ku_with_psi(spec: KGraphSpec, page: E2Page) -> KuPsiResult:
                 None, None)
         base[q] = nonzero[0] if nonzero else None
 
-    graded = build_graded_group(page.partition)
-    psi_block = psi_on_A(page.partition, graded).matrix
+    psi_block = psi_on_A(page.partition).matrix
     ku = []
     psi = []
     for q in (0, 1):
@@ -508,36 +502,6 @@ def enumerate_core_solutions(mu_groups, constraints: CoreConstraints | None = No
             for vec in solutions]
 
 
-@dataclass
-class CoreData:
-    """KU with psi, the MU groups, and the constrained MO enumeration."""
-
-    ku: tuple
-    psi: tuple
-    mu: tuple
-    constraints: CoreConstraints
-    solutions: list
-
-
-def compute_core(spec: KGraphSpec, page: E2Page | None = None,
-                 constraints: CoreConstraints | None = None,
-                 rank_bound: int = 8) -> CoreData:
-    """Full core pipeline; derives constraints from the determined real
-    diagonals when none are supplied.  Raises AmbiguousComplexPart when the
-    complex part does not determine KU."""
-    if page is None:
-        page = compute_e2(spec)
-    kupsi = compute_ku_with_psi(spec, page).require_determined()
-    mu = compute_mu(kupsi.ku, kupsi.psi)
-    if constraints is None:
-        report = differential_report(page)
-        assemblies = assemble_diagonals(page, report, "real")
-        constraints = derive_core_constraints(assemblies)
-    solutions = enumerate_core_solutions(mu, constraints, rank_bound)
-    return CoreData(ku=kupsi.ku, psi=kupsi.psi, mu=tuple(mu),
-                    constraints=constraints, solutions=solutions)
-
-
 def derive_core_constraints(assemblies) -> CoreConstraints:
     """Constraints that follow from the determined real diagonals alone.
 
@@ -564,3 +528,38 @@ def derive_core_constraints(assemblies) -> CoreConstraints:
     for q, rank in constraints.known_mo.items():
         constraints.mo_bounds.pop(q, None)
     return constraints
+
+
+# ---------------------------------------------------------------------------
+# The pipeline
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PipelineResult:
+    """Everything one run computes.  ``mu``, ``constraints`` and ``solutions``
+    are None when the complex part leaves KU ambiguous."""
+
+    page: E2Page
+    report: DifferentialReport
+    real: list              # DiagonalAssembly per total degree, KO
+    cplx: list              # DiagonalAssembly per total degree, KU
+    kupsi: KuPsiResult
+    mu: list | None
+    constraints: CoreConstraints | None
+    solutions: list | None
+
+
+def run_pipeline(spec: KGraphSpec, ext_bound: int = DEFAULT_EXTENSION_BOUND,
+                 core_bound: int = 8) -> PipelineResult:
+    """Validate, build the E2 page and read everything off it, each once."""
+    page = compute_e2(spec)
+    report = differential_report(page)
+    real = assemble_diagonals(page, report, "real", ext_bound)
+    cplx = assemble_diagonals(page, report, "complex", ext_bound)
+    kupsi = compute_ku_with_psi(page, report)
+    mu = constraints = solutions = None
+    if not kupsi.ambiguous:
+        mu = compute_mu(kupsi.ku, kupsi.psi)
+        constraints = derive_core_constraints(real)
+        solutions = enumerate_core_solutions(mu, constraints, core_bound)
+    return PipelineResult(page, report, real, cplx, kupsi, mu, constraints, solutions)

@@ -5,9 +5,13 @@ machinery: homology is recomputed by enumerating group elements, and core
 tables are re-verified by direct rank propagation around the exact cycles.
 Brute-force enumerators (every homomorphism for extensions and d2 variants,
 the full sweep of one core cycle) are the oracles for the library's
-combinatorial answers to the same questions.
+combinatorial answers to the same questions.  The rank-one building-block
+tables with their relation checker, and the square-zero check of a chain
+complex, are written out here for the tests that pin down the structure the
+library builds on.
 """
 
+from dataclasses import dataclass
 from itertools import product as cartesian
 import random
 
@@ -17,8 +21,11 @@ from kktheory.abelian import (
     IntMatrix,
     abelian_groups_of_order,
     group_from_presentation,
+    in_span,
+    trivial_group,
 )
-from kktheory.kgraph import KGraphSpec
+from kktheory.kgraph import KGraphSpec, VertexPartition
+from kktheory.koszul import GradedChainComplex
 from kktheory.spectral import _arrow_fact_ok, _core_cycle
 
 
@@ -402,3 +409,182 @@ def enumerate_cycle_by_sweep(start, mu, bound, constraints):
             key = tuple(mo[q] for q in range(8))
             results.setdefault(key, []).append({s: e for s, e in zip(segs, etas)})
     return results
+
+
+# ---------------------------------------------------------------------------
+# The two rank-one building-block tables and their relations
+# ---------------------------------------------------------------------------
+
+def _grp(*factors, free=0):
+    return FgAbGroup.from_invariants(list(factors), free)
+
+
+def _mat(rows, cols, entries=None):
+    if entries is None:
+        return IntMatrix.zeros(rows, cols)
+    return IntMatrix(rows, cols, entries)
+
+
+@dataclass(frozen=True)
+class BlockTable:
+    """One rank-one building block: its eight KO and KU groups and the
+    degreewise matrices of eta (degree +1), c, r and psi."""
+
+    name: str
+    ko: tuple
+    ku: tuple
+    eta: tuple
+    c: tuple
+    r: tuple
+    psi: tuple
+
+
+def real_block_table() -> BlockTable:
+    Z, Z2, O = _grp(free=1), _grp(2), trivial_group()
+    ko = (Z, Z2, Z2, O, Z, O, O, O)
+    ku = (Z, O, Z, O, Z, O, Z, O)
+    ko_n = [g.ambient_rank for g in ko]
+    ku_n = [g.ambient_rank for g in ku]
+    eta_vals = [1, 1, 0, 0, 0, 0, 0, 0]
+    c_vals = [1, 0, 0, 0, 2, 0, 0, 0]
+    r_vals = [2, 0, 1, 0, 1, 0, 0, 0]
+    psi_vals = [1, 0, -1, 0, 1, 0, -1, 0]
+    eta = tuple(_mat(ko_n[(n + 1) % 8], ko_n[n],
+                     [[eta_vals[n]]] if ko_n[(n + 1) % 8] and ko_n[n] else None)
+                for n in range(8))
+    c = tuple(_mat(ku_n[n], ko_n[n],
+                   [[c_vals[n]]] if ku_n[n] and ko_n[n] else None)
+              for n in range(8))
+    r = tuple(_mat(ko_n[n], ku_n[n],
+                   [[r_vals[n]]] if ko_n[n] and ku_n[n] else None)
+              for n in range(8))
+    psi = tuple(_mat(ku_n[n], ku_n[n],
+                     [[psi_vals[n]]] if ku_n[n] else None)
+                for n in range(8))
+    return BlockTable("R", ko, ku, eta, c, r, psi)
+
+
+def complex_block_table() -> BlockTable:
+    Z, Z2f, O = _grp(free=1), _grp(free=2), trivial_group()
+    ko = (Z, O, Z, O, Z, O, Z, O)
+    ku = (Z2f, O, Z2f, O, Z2f, O, Z2f, O)
+    ko_n = [g.ambient_rank for g in ko]
+    ku_n = [g.ambient_rank for g in ku]
+    swap = [[0, 1], [1, 0]]
+    nswap = [[0, -1], [-1, 0]]
+    c_cols = {0: [[1], [1]], 2: [[-1], [1]], 4: [[1], [1]], 6: [[-1], [1]]}
+    r_rows = {0: [[1, 1]], 2: [[-1, 1]], 4: [[1, 1]], 6: [[-1, 1]]}
+    psi_mats = {0: swap, 2: nswap, 4: swap, 6: nswap}
+    eta = tuple(_mat(ko_n[(n + 1) % 8], ko_n[n]) for n in range(8))
+    c = tuple(_mat(ku_n[n], ko_n[n], c_cols.get(n)) for n in range(8))
+    r = tuple(_mat(ko_n[n], ku_n[n], r_rows.get(n)) for n in range(8))
+    psi = tuple(_mat(ku_n[n], ku_n[n], psi_mats.get(n)) for n in range(8))
+    return BlockTable("C", ko, ku, eta, c, r, psi)
+
+
+@dataclass(frozen=True)
+class CrBlockTables:
+    real_block: BlockTable
+    complex_block: BlockTable
+
+
+def standard_tables() -> CrBlockTables:
+    return CrBlockTables(real_block_table(), complex_block_table())
+
+
+@dataclass(frozen=True)
+class RelationCheck:
+    relation: str
+    block: str
+    degree: int
+    passed: bool
+
+
+@dataclass(frozen=True)
+class CrRelationReport:
+    checks: tuple
+
+    @property
+    def all_passed(self):
+        return all(c.passed for c in self.checks)
+
+    def failures(self):
+        return [c for c in self.checks if not c.passed]
+
+
+def _equal_mod(target: FgAbGroup, lhs: IntMatrix, rhs: IntMatrix) -> bool:
+    return in_span(target.relations, lhs - rhs)
+
+
+def check_cr_relations(tables: CrBlockTables) -> CrRelationReport:
+    """Verify the defining relations of both block tables, degree by degree.
+
+    Equalities are taken modulo the target group's relations (so e.g. r o c
+    lands on 2*id even when the target is 2-torsion).
+    """
+    checks = []
+    for tab in (tables.real_block, tables.complex_block):
+        for n in range(8):
+            n1, n2, n3 = (n + 1) % 8, (n + 2) % 8, (n + 3) % 8
+            ko_id = IntMatrix.identity(tab.ko[n].ambient_rank)
+            ku_id = IntMatrix.identity(tab.ku[n].ambient_rank)
+            cases = [
+                ("r.c = 2", tab.ko[n], tab.r[n] @ tab.c[n], ko_id.scaled(2)),
+                ("c.r = 1 + psi", tab.ku[n], tab.c[n] @ tab.r[n], ku_id + tab.psi[n]),
+                ("2.eta = 0", tab.ko[n1], tab.eta[n].scaled(2),
+                 IntMatrix.zeros(*tab.eta[n].shape)),
+                ("eta.r = 0", tab.ko[n1], tab.eta[n] @ tab.r[n],
+                 IntMatrix.zeros(tab.ko[n1].ambient_rank, tab.ku[n].ambient_rank)),
+                ("c.eta = 0", tab.ku[n1], tab.c[n1] @ tab.eta[n],
+                 IntMatrix.zeros(tab.ku[n1].ambient_rank, tab.ko[n].ambient_rank)),
+                ("eta^3 = 0", tab.ko[n3], tab.eta[n2] @ tab.eta[n1] @ tab.eta[n],
+                 IntMatrix.zeros(tab.ko[n3].ambient_rank, tab.ko[n].ambient_rank)),
+                ("psi.c = c", tab.ku[n], tab.psi[n] @ tab.c[n], tab.c[n]),
+                ("r.psi = r", tab.ko[n], tab.r[n] @ tab.psi[n], tab.r[n]),
+                ("psi^2 = 1", tab.ku[n], tab.psi[n] @ tab.psi[n], ku_id),
+            ]
+            for relation, target, lhs, rhs in cases:
+                checks.append(RelationCheck(relation, tab.name, n,
+                                            _equal_mod(target, lhs, rhs)))
+    return CrRelationReport(tuple(checks))
+
+
+
+
+def complexification_degree0(partition: VertexPartition) -> IntMatrix:
+    """Degree-0 complexification A^O_0 -> A^U_0: identity into the fixed
+    block, diagonal into the two halves of each 2-orbit."""
+    nf, n1 = partition.n_fixed, partition.n_paired
+    return IntMatrix.assemble([
+        [IntMatrix.identity(nf), IntMatrix.zeros(nf, n1)],
+        [IntMatrix.zeros(n1, nf), IntMatrix.identity(n1)],
+        [IntMatrix.zeros(n1, nf), IntMatrix.identity(n1)],
+    ])
+
+
+# ---------------------------------------------------------------------------
+# Square-zero check of a chain complex
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SquareZeroCheck:
+    position: int
+    passed: bool
+
+
+@dataclass(frozen=True)
+class SquareZeroReport:
+    checks: tuple
+
+    @property
+    def all_passed(self):
+        return all(c.passed for c in self.checks)
+
+
+def verify_square_zero(cx: GradedChainComplex) -> SquareZeroReport:
+    """Compose every adjacent boundary pair and test for the zero map."""
+    checks = []
+    for p in range(1, cx.k + 1):
+        composite = cx.boundary(p) @ cx.boundary(p + 1)
+        checks.append(SquareZeroCheck(position=p, passed=composite.is_zero()))
+    return SquareZeroReport(tuple(checks))

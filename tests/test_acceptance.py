@@ -22,15 +22,7 @@ from kktheory.abelian import (
     smith_normal_form,
     trivial_group,
 )
-from kktheory.crmodule import (
-    CrBlockTables,
-    build_rho,
-    check_cr_relations,
-    complexification_degree0,
-    complex_block_table,
-    real_block_table,
-    standard_tables,
-)
+from kktheory.crmodule import build_rho
 from kktheory.kgraph import validate
 from kktheory.spectral import (
     CoreConstraints,
@@ -43,12 +35,18 @@ from kktheory.spectral import (
 )
 
 from helpers import (
+    CrBlockTables,
     asymmetric_three_vertex_spec,
+    check_cr_relations,
+    complexification_degree0,
+    complex_block_table,
     determinant,
     one_vertex_spec,
     oracle_homology_invariants,
     random_finite_complex,
     random_valid_spec,
+    real_block_table,
+    standard_tables,
     symmetric_three_vertex_spec,
 )
 
@@ -113,7 +111,7 @@ def test_criterion_1_one_vertex_odd_gcd(m, n):
     where = f"(m,n)=({m},{n}): g={g} {parity}"
     spec = one_vertex_spec(m, n)
     page = compute_e2(spec)
-    result = compute_ku_with_psi(spec, page)
+    result = compute_ku_with_psi(page, differential_report(page))
     assert not result.ambiguous, f"{where}: KU must not be ambiguous"
     assert all(group == zg for group in result.ku), \
         f"{where}: KU_q must equal {zg.describe()}"
@@ -183,7 +181,7 @@ def test_criterion_3_symmetric_family(n):
         want = expected.get(q, [trivial_group()] * 3)
         assert grid[q] == want, f"row q={q}"
 
-    result = compute_ku_with_psi(spec, page)
+    result = compute_ku_with_psi(page, differential_report(page))
     assert all(group == z2n for group in result.ku)
     assert [result.psi_scalar(q) for q in range(8)] == [-1, -1, 1, 1, -1, -1, 1, 1]
 
@@ -227,7 +225,7 @@ def test_criterion_4_asymmetric_family(n):
         want = expected.get(q, [trivial_group()] * 3)
         assert grid[q] == want, f"row q={q} for n={n}"
 
-    result = compute_ku_with_psi(spec, page)
+    result = compute_ku_with_psi(page, differential_report(page))
     assert all(group == Z2 for group in result.ku)
     assert all(result.psi_scalar(q) == 1 for q in range(8))
     mu = compute_mu(result.ku, result.psi)

@@ -232,3 +232,56 @@ def test_one_run_keeps_the_snf_memo_small(tmp_path):
     code, _, _ = run_cli(["compute", path])
     assert code == 0
     assert smith_normal_form.cache_info().currsize <= 200
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("k", dict(one_vertex_doc(4, 4), k=2.9)),
+    ("float entry", dict(one_vertex_doc(4, 4), matrices=[[[4.7]], [[4]]])),
+    ("bool entry", dict(one_vertex_doc(4, 4), matrices=[[[True]], [[4]]])),
+    ("string entry", dict(one_vertex_doc(4, 4), matrices=[[["4"]], [[4]]])),
+    ("image", dict(one_vertex_doc(4, 4), involution=[0.2])),
+    ("vertex name", dict(one_vertex_doc(4, 4), vertices=[7])),
+])
+def test_non_integer_fields_are_parse_errors(tmp_path, field, doc):
+    # int() would truncate each of these to a valid input
+    path = write_input(tmp_path, "bad.json", doc)
+    code, out, err = run_cli(["compute", path])
+    assert code == 2 and out == ""
+    assert err.startswith("ParseError: "), err
+
+
+def test_malformed_shape_is_a_validation_error(tmp_path):
+    # validation runs inside the pipeline; its shape errors still exit 2
+    path = write_input(tmp_path, "kcount.json", dict(one_vertex_doc(4, 4), matrices=[[[4]]]))
+    code, out, err = run_cli(["compute", path])
+    assert (code, out) == (2, "")
+    assert err == "MalformedShape: expected 2 adjacency matrices, got 1\n"
+
+
+def test_one_run_validates_and_reports_once(monkeypatch):
+    import pathlib
+    import sys
+    from kktheory import kgraph, spectral
+
+    calls = {}
+
+    def count(module, attr):
+        # replace the function wherever a kktheory module refers to it
+        orig = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return orig(*args, **kwargs)
+
+        calls[attr] = 0
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("kktheory") and getattr(mod, attr, None) is orig:
+                monkeypatch.setattr(mod, attr, counted)
+
+    count(kgraph, "validate")
+    count(spectral, "differential_report")
+    sample = pathlib.Path(__file__).parent.parent / "sample_inputs" / \
+        "three_vertex_symmetric_n2.json"
+    code = run(JobConfig(input_path=str(sample)), stdout=io.StringIO(), stderr=io.StringIO())
+    assert code == 0
+    assert calls == {"validate": 1, "differential_report": 1}

@@ -2,20 +2,19 @@ import dataclasses
 import random
 
 from kktheory.abelian import FgAbGroup, IntMatrix, cyclic_group, free_group
-from kktheory.crmodule import (
-    build_graded_group,
-    build_rho,
+from kktheory.crmodule import build_graded_group, build_rho, psi_on_A
+from kktheory.kgraph import validate
+
+from helpers import (
+    CrBlockTables,
     check_cr_relations,
     complexification_degree0,
     complex_block_table,
-    psi_on_A,
+    random_valid_spec,
     real_block_table,
     standard_tables,
-    CrBlockTables,
+    symmetric_three_vertex_spec,
 )
-from kktheory.kgraph import validate
-
-from helpers import random_valid_spec, symmetric_three_vertex_spec
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,14 @@ import pytest
 
 from kktheory.abelian import CompositionNotZero, GroupHom, IntMatrix, free_group
 from kktheory.kgraph import KGraphSpec, validate
-from kktheory.koszul import (
-    GradedChainComplex,
-    build_complex,
-    index_tuples,
+from kktheory.koszul import GradedChainComplex, build_complex, index_tuples
+
+from helpers import (
+    one_vertex_spec,
+    random_valid_spec,
+    symmetric_three_vertex_spec,
     verify_square_zero,
 )
-
-from helpers import one_vertex_spec, random_valid_spec, symmetric_three_vertex_spec
 
 
 def test_index_tuples_counts_and_order():
@@ -101,6 +101,21 @@ def test_build_complex_raises_on_noncommuting_rhos():
             raise CompositionNotZero("hand-built complex fails square-zero")
 
 
+def test_e2_page_refuses_boundaries_that_do_not_compose_to_zero(monkeypatch):
+    # build_complex checks nothing; homology is the one square-zero guard
+    from kktheory import spectral
+    m, n = 4, 4
+    z = free_group(1)
+    z2 = free_group(2)
+    d1 = GroupHom(z2, z, IntMatrix.from_rows([[1 - n, 1 - m]]))
+    bad_d2 = GroupHom(z, z2, IntMatrix.from_rows([[-(1 - n)], [-(1 - m)]]))
+    bad = GradedChainComplex(part="complex", degree=0, k=2,
+                             groups=(z, z2, z), boundaries=(d1, bad_d2))
+    monkeypatch.setattr(spectral, "build_complex", lambda *args: bad)
+    with pytest.raises(CompositionNotZero):
+        spectral.compute_e2(one_vertex_spec(m, n))
+
+
 def test_trivial_involution_complex_part_is_plain_koszul():
     # with no orbits the degree-0 complex part blocks are exactly I - M^t
     spec = KGraphSpec.from_lists(
@@ -119,4 +134,4 @@ def test_square_zero_random_specs_all_degrees():
         part = validate(spec)
         for part_name, degrees in (("real", range(8)), ("complex", range(2))):
             for j in degrees:
-                build_complex(spec, j, part_name, part)  # verifies internally
+                assert verify_square_zero(build_complex(spec, j, part_name, part)).all_passed

@@ -31,6 +31,7 @@ from kktheory.spectral import (
     derive_core_constraints,
     differential_report,
     enumerate_core_solutions,
+    run_pipeline,
 )
 
 from helpers import (
@@ -210,7 +211,8 @@ def test_determined_diagonal_order_identity():
                                       (3, [-1, -1, 1, 1, -1, -1, 1, 1])])
 def test_ku_psi_symmetric_family(n, signs):
     spec = symmetric_three_vertex_spec(n)
-    result = compute_ku_with_psi(spec, compute_e2(spec))
+    page = compute_e2(spec)
+    result = compute_ku_with_psi(page, differential_report(page))
     assert not result.ambiguous
     assert all(g == cyclic_group(2 * n) for g in result.ku)
     assert [result.psi_scalar(q) for q in range(8)] == signs
@@ -218,7 +220,8 @@ def test_ku_psi_symmetric_family(n, signs):
 
 def test_ku_psi_one_vertex():
     spec = one_vertex_spec(4, 4)
-    result = compute_ku_with_psi(spec, compute_e2(spec))
+    page = compute_e2(spec)
+    result = compute_ku_with_psi(page, differential_report(page))
     assert all(g == cyclic_group(3) for g in result.ku)
     assert result.psi_scalar(0) == 1 and result.psi_scalar(1) == 1
 
@@ -226,7 +229,8 @@ def test_ku_psi_one_vertex():
 def test_ku_psi_asymmetric_family():
     for n in (2, 5):
         spec = asymmetric_three_vertex_spec(n)
-        result = compute_ku_with_psi(spec, compute_e2(spec))
+        page = compute_e2(spec)
+        result = compute_ku_with_psi(page, differential_report(page))
         assert all(g == Z2 for g in result.ku)
         assert all(result.psi_scalar(q) == 1 for q in range(8))
 
@@ -260,7 +264,8 @@ def test_mu_even_cyclic_with_trivial_psi():
 
 def test_mu_from_pipeline_is_two_torsion():
     spec = symmetric_three_vertex_spec(4)
-    result = compute_ku_with_psi(spec, compute_e2(spec))
+    page = compute_e2(spec)
+    result = compute_ku_with_psi(page, differential_report(page))
     mu = compute_mu(result.ku, result.psi)
     assert all(x == Z2 for x in mu)
 
@@ -369,7 +374,7 @@ def test_random_pages_are_periodic_and_square_zero():
     rng = random.Random(321)
     for _ in range(8):
         spec = random_valid_spec(rng)
-        page = compute_e2(spec)    # build_complex verifies square-zero
+        page = compute_e2(spec)    # homology verifies square-zero
         for p in range(spec.k + 1):
             for q in range(8):
                 assert page.group("real", p, q) == page.group("real", p, q + 8)
@@ -403,16 +408,13 @@ def test_ambiguous_complex_part_is_flagged():
     # a singular matrix puts a nonzero group in column p = 2 of the complex
     # part, so the q = 0 diagonal has two candidate factors
     from kktheory.kgraph import KGraphSpec
-    from kktheory.spectral import AmbiguousComplexPart
     m = [[2, 1], [1, 2]]
     spec = KGraphSpec.from_lists(2, ["a", "b"], [m, m], [0, 1])
     page = compute_e2(spec)
     assert not page.group("complex", 2, 0).is_trivial
-    result = compute_ku_with_psi(spec, page)
+    result = compute_ku_with_psi(page, differential_report(page))
     assert result.ambiguous
     assert result.ku is None
-    with pytest.raises(AmbiguousComplexPart):
-        result.require_determined()
 
 
 def test_e2_groups_are_relabeling_invariant():
@@ -446,14 +448,12 @@ def test_core_solver_bound_exceeded():
                                  rank_bound=8)
 
 
-def test_compute_core_bundle():
-    from kktheory.spectral import compute_core
-    spec = one_vertex_spec(3, 3)
-    core = compute_core(spec)
-    assert all(g == cyclic_group(2) for g in core.ku)
-    assert all(g == Z2 for g in core.mu)
-    assert core.constraints.known_mo == {0: 0, 6: 0, 7: 0}
-    assert len(core.solutions) == 2
+def test_pipeline_core_bundle():
+    result = run_pipeline(one_vertex_spec(3, 3))
+    assert all(g == cyclic_group(2) for g in result.kupsi.ku)
+    assert all(g == Z2 for g in result.mu)
+    assert result.constraints.known_mo == {0: 0, 6: 0, 7: 0}
+    assert len(result.solutions) == 2
 
 
 def test_core_solver_handles_rank_two_mu():
@@ -467,23 +467,26 @@ def test_core_solver_handles_rank_two_mu():
 def test_larger_torsion_families():
     n = 7
     spec = symmetric_three_vertex_spec(n)
-    result = compute_ku_with_psi(spec, compute_e2(spec))
+    page = compute_e2(spec)
+    result = compute_ku_with_psi(page, differential_report(page))
     assert all(g == cyclic_group(2 * n) for g in result.ku)
     assert all(x == Z2 for x in compute_mu(result.ku, result.psi))
     spec = asymmetric_three_vertex_spec(n)
     page = compute_e2(spec)
     assert page.group("real", 0, 6).is_trivial      # odd n kills the q=6 row
-    result = compute_ku_with_psi(spec, page)
+    result = compute_ku_with_psi(page, differential_report(page))
     assert all(g == Z2 for g in result.ku)
 
 
-def test_compute_core_raises_when_ku_ambiguous():
+def test_pipeline_skips_the_core_when_ku_ambiguous():
+    # the complex q=0 diagonal has two nonzero factors, all of them finite,
+    # so both assemblies finish and only KU is left open
     from kktheory.kgraph import KGraphSpec
-    from kktheory.spectral import AmbiguousComplexPart, compute_core
-    m = [[2, 1], [1, 2]]
-    spec = KGraphSpec.from_lists(2, ["a", "b"], [m, m], [0, 1])
-    with pytest.raises(AmbiguousComplexPart):
-        compute_core(spec)
+    spec = KGraphSpec.from_lists(3, ["a", "b"], [[[5, 0], [0, 5]], [[3, 0], [0, 3]],
+                                                 [[3, 0], [0, 3]]], [1, 0])
+    result = run_pipeline(spec)
+    assert result.kupsi.ambiguous
+    assert result.mu is None and result.constraints is None and result.solutions is None
 
 
 # ---------------------------------------------------------------------------
