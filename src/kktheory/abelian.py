@@ -7,7 +7,8 @@ ever touches floating point, so results are exact at any size.  The pieces:
   shapes like 0 x n, which occur routinely as boundary maps of trivial groups.
 * ``smith_normal_form`` -- ``u @ m @ v == d`` with unimodular ``u``, ``v`` and
   a divisibility chain ``d[0][0] | d[1][1] | ...`` of nonnegative entries;
-  ``transforms=False`` runs the same elimination on ``d`` alone.
+  ``transforms=False`` computes ``d`` alone modulo one nonzero minor D, so
+  no intermediate entry exceeds the Hadamard bound.
 * ``FgAbGroup`` -- a finitely generated abelian group presented as the
   cokernel of a relations matrix, carrying its canonical invariant-factor
   decomposition.  Equality of groups means equality of canonical forms.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _cartesian
-from math import prod
+from math import gcd, prod
 
 
 class CompositionNotZero(Exception):
@@ -216,8 +217,8 @@ class SnfDecomposition:
 
     The inverses of the transforms are tracked alongside because downstream
     computations (image bases, generator lifts) need them.  A decomposition
-    made with ``transforms=False`` carries ``d`` alone; its four transforms
-    are None.
+    made with ``transforms=False`` carries ``d`` alone, computed modulo a
+    nonzero minor; its four transforms are None.
     """
 
     u: IntMatrix | None
@@ -241,55 +242,54 @@ def smith_normal_form(m: IntMatrix, transforms: bool = True) -> SnfDecomposition
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     Pivoting always picks the remaining entry of smallest nonzero absolute
-    value, which keeps intermediate entries tame and makes the output
-    deterministic.  Only ``d`` is canonical; ``u`` and ``v`` are just *some*
-    witnesses, so tests should check identities, not their literal entries.
-    With ``transforms=False`` the same operations run on ``d`` alone.
+    value, which makes the output deterministic.  Only ``d`` is canonical;
+    ``u`` and ``v`` are just *some* witnesses, so tests should check
+    identities, not their literal entries.  With ``transforms=False`` only
+    ``d`` is computed, with entries bounded by one nonzero minor
+    (``_smith_diagonal``).
     """
+    if not transforms:
+        diag = _smith_diagonal(m)
+        return SnfDecomposition(None, IntMatrix.diagonal(diag, m.rows, m.cols),
+                                None, None, None)
     rows, cols = m.rows, m.cols
     d = [list(row) for row in m.data]
-    if transforms:
-        u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-        ui = [row[:] for row in u]
-        v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-        vi = [row[:] for row in v]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    ui = [row[:] for row in u]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    vi = [row[:] for row in v]
 
     def row_swap(a, b):
         d[a], d[b] = d[b], d[a]
-        if transforms:
-            u[a], u[b] = u[b], u[a]
-            for r in ui:
-                r[a], r[b] = r[b], r[a]
+        u[a], u[b] = u[b], u[a]
+        for r in ui:
+            r[a], r[b] = r[b], r[a]
 
     def row_add(a, b, q):  # row a += q * row b
         d[a] = [x + q * y for x, y in zip(d[a], d[b])]
-        if transforms:
-            u[a] = [x + q * y for x, y in zip(u[a], u[b])]
-            for r in ui:
-                r[b] -= q * r[a]
+        u[a] = [x + q * y for x, y in zip(u[a], u[b])]
+        for r in ui:
+            r[b] -= q * r[a]
 
     def row_negate(a):
         d[a] = [-x for x in d[a]]
-        if transforms:
-            u[a] = [-x for x in u[a]]
-            for r in ui:
-                r[a] = -r[a]
+        u[a] = [-x for x in u[a]]
+        for r in ui:
+            r[a] = -r[a]
 
     def col_swap(a, b):
         for r in d:
             r[a], r[b] = r[b], r[a]
-        if transforms:
-            for r in v:
-                r[a], r[b] = r[b], r[a]
-            vi[a], vi[b] = vi[b], vi[a]
+        for r in v:
+            r[a], r[b] = r[b], r[a]
+        vi[a], vi[b] = vi[b], vi[a]
 
     def col_add(a, b, q):  # col a += q * col b
         for r in d:
             r[a] += q * r[b]
-        if transforms:
-            for r in v:
-                r[a] += q * r[b]
-            vi[b] = [x - q * y for x, y in zip(vi[b], vi[a])]
+        for r in v:
+            r[a] += q * r[b]
+        vi[b] = [x - q * y for x, y in zip(vi[b], vi[a])]
 
     t = 0
     limit = min(rows, cols)
@@ -345,8 +345,6 @@ def smith_normal_form(m: IntMatrix, transforms: bool = True) -> SnfDecomposition
         if d[i][i] < 0:
             row_negate(i)
 
-    if not transforms:
-        return SnfDecomposition(None, IntMatrix(rows, cols, d), None, None, None)
     return SnfDecomposition(
         u=IntMatrix(rows, rows, u),
         d=IntMatrix(rows, cols, d),
@@ -354,6 +352,141 @@ def smith_normal_form(m: IntMatrix, transforms: bool = True) -> SnfDecomposition
         u_inv=IntMatrix(rows, rows, ui),
         v_inv=IntMatrix(cols, cols, vi),
     )
+
+
+def _smith_diagonal(m: IntMatrix):
+    """The Smith diagonal of ``m``, with every intermediate entry bounded.
+
+    Fraction-free elimination gives the rank r and a nonzero r x r minor D.
+    Every nonzero invariant factor divides D, so the rest runs over Z/DZ
+    (Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.4.14):
+    diagonalize modulo D, read each entry e as the ideal gcd(e, D) (a 0 reads
+    as D), and sort those ideals into a divisibility chain.  Every stored
+    entry is a minor of ``m`` or a residue below D, so none exceeds the
+    Hadamard bound of ``m``.
+    """
+    size = min(m.rows, m.cols)
+    rank, minor = _rank_and_minor(m)
+    if rank == 0 or minor == 1:
+        return (1,) * rank + (0,) * (size - rank)
+    if rank == 1:  # d_1 is the gcd of the entries
+        return (gcd(*(x for row in m.data for x in row)),) + (0,) * (size - 1)
+    ideals = [gcd(e, minor) for e in _diagonal_mod(m, minor)]
+    ideals += [minor] * (rank - len(ideals))
+    return tuple(_divisibility_chain(ideals)[:rank]) + (0,) * (size - rank)
+
+
+def _rank_and_minor(m: IntMatrix):
+    """The rank r of ``m`` and the absolute value of one nonzero r x r minor.
+
+    Bareiss elimination: after each step every remaining entry is the minor
+    on the pivot rows and columns so far plus its own row and column, so the
+    divisions are exact and the last pivot is the minor returned.  A pivot
+    column is dropped once it is cleared.
+    """
+    rows = [list(row) for row in m.data if any(row)]
+    rank, prev = 0, 1
+    while rows:
+        prow = rows.pop()
+        j = min((j for j, e in enumerate(prow) if e), key=lambda j: abs(prow[j]))
+        pivot = prow.pop(j)
+        if pivot < 0:  # negating a row only flips the sign of the minors
+            pivot, prow = -pivot, [-x for x in prow]
+        remaining = []
+        for row in rows:
+            c = row.pop(j)
+            if c:
+                row = [(pivot * x - c * y) // prev for x, y in zip(row, prow)]
+            elif pivot != prev:
+                row = [pivot * x // prev for x in row]
+            if any(row):
+                remaining.append(row)
+        rows, rank, prev = remaining, rank + 1, pivot
+    return rank, prev
+
+
+def _diagonal_mod(m: IntMatrix, modulus):
+    """The nonzero entries of a diagonal matrix equivalent to ``m`` over Z/modulus.
+
+    Unit pivots are peeled off by plain elimination, dropping each pivot row
+    and column; what is left goes through a Smith loop of extended-gcd row
+    and column operations.
+    """
+    rows = [row for row in ([x % modulus for x in row] for row in m.data) if any(row)]
+    diag = []
+    while True:
+        unit = next(((i, j) for i, row in enumerate(rows) for j, e in enumerate(row)
+                     if e and gcd(e, modulus) == 1), None)
+        if unit is None:
+            break
+        i, j = unit
+        prow = rows.pop(i)
+        inv = pow(prow.pop(j), -1, modulus)
+        remaining = []
+        for row in rows:
+            c = row.pop(j)
+            if c:
+                q = c * inv
+                row = [(x - q * y) % modulus for x, y in zip(row, prow)]
+            if any(row):
+                remaining.append(row)
+        rows = remaining
+        diag.append(1)
+    while rows:
+        i, j = min(((i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e),
+                   key=lambda ij: rows[ij[0]][ij[1]])
+        rows[0], rows[i] = rows[i], rows[0]
+        p = rows[0][j]
+        while True:
+            for i in range(1, len(rows)):
+                if rows[i][j]:
+                    p, rows[0], rows[i] = _combine(p, rows[i][j], rows[0], rows[i], modulus)
+            for l in range(len(rows[0])):
+                if l != j and rows[0][l]:
+                    p, col_j, col_l = _combine(p, rows[0][l], [r[j] for r in rows],
+                                               [r[l] for r in rows], modulus)
+                    for row, a, b in zip(rows, col_j, col_l):
+                        row[j], row[l] = a, b
+            if not any(row[j] for row in rows[1:]):
+                break
+        diag.append(p)
+        rows = [row for row in rows[1:] if any(row)]
+    return diag
+
+
+def _combine(p, x, a, b, modulus):
+    """Replace vectors a, b (with entries p, x at the pivot) by a unimodular
+    combination whose pivot entries are gcd(p, x) and 0."""
+    g, s, t = _xgcd(p, x)
+    pg, xg = p // g, x // g
+    return (g,
+            [(s * y + t * z) % modulus for y, z in zip(a, b)],
+            [(pg * z - xg * y) % modulus for y, z in zip(a, b)])
+
+
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b for positive a, b; (a, 1, 0)
+    when a divides b, so that the combination then leaves ``a`` in place."""
+    if b % a == 0:
+        return a, 1, 0
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _divisibility_chain(values):
+    """Invariant factors d_1 | d_2 | ... of diag(values), by gcd/lcm swaps."""
+    chain = sorted(values)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            g = gcd(a, b)
+            chain[i], chain[j] = g, a // g * b
+    return chain
 
 
 def solve_in_span(a: IntMatrix, b: IntMatrix):

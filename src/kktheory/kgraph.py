@@ -120,6 +120,9 @@ def validate(spec: KGraphSpec) -> VertexPartition:
             raise MalformedShape(f"matrix {idx + 1} is {m.shape}, expected {nv}x{nv}")
     if len(spec.involution) != nv:
         raise MalformedShape("involution must list one image per vertex")
+    for v, name in enumerate(spec.vertices):
+        if name in spec.vertices[:v]:
+            raise MalformedShape(f"vertex {name} is listed twice")
 
     for idx, m in enumerate(spec.matrices):
         for v in range(nv):

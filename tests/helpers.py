@@ -314,6 +314,38 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def hadamard_bound_squared(m: IntMatrix) -> int:
+    """The square of the Hadamard bound on every minor of ``m``: the smaller
+    of the products of the squared lengths of its nonzero rows and of its
+    nonzero columns."""
+    def product_of_norms(vectors):
+        out = 1
+        for vec in vectors:
+            out *= max(1, sum(x * x for x in vec))
+        return out
+    return min(product_of_norms(m.data), product_of_norms(m.transpose().data))
+
+
+def planted_matrix(rows, cols, factors, ops) -> IntMatrix:
+    """diag(factors) (padded with zeros to rows x cols) after the elementary
+    operations ``ops``: (on_rows, i, j, q) adds q times line j to line i,
+    indices taken modulo the line count, and is skipped when i == j.  The
+    Smith diagonal of the result is that of diag(factors)."""
+    a = [[factors[i] if i == j and i < len(factors) else 0 for j in range(cols)]
+         for i in range(rows)]
+    for on_rows, i, j, q in ops:
+        n = rows if on_rows else cols
+        if n < 2 or i % n == j % n:
+            continue
+        i, j = i % n, j % n
+        if on_rows:
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        else:
+            for row in a:
+                row[i] += q * row[j]
+    return IntMatrix(rows, cols, a)
+
+
 def _homs_between(a, b):
     """Every hom prod Z_a -> prod Z_b as a matrix of entry choices, one
     column per generator of the source."""

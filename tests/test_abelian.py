@@ -32,13 +32,18 @@ from kktheory.abelian import (
     zero_hom,
 )
 
-from kktheory.abelian import _diagonal_homology, _lattice_homology
+from kktheory.abelian import _diagonal_homology, _lattice_homology, _rank_and_minor
+from kktheory.crmodule import COMPLEX_PERIOD, REAL_PERIOD, build_graded_group, build_rho
+from kktheory.kgraph import validate
+from kktheory.koszul import build_complex
 from kktheory.spectral import compute_e2
 
 from helpers import (
     determinant,
     extension_candidates_by_homs,
+    hadamard_bound_squared,
     oracle_homology_invariants,
+    planted_matrix,
     random_finite_complex,
     random_valid_spec,
 )
@@ -113,6 +118,63 @@ def test_diagonal_only_snf_matches_full_decomposition():
         assert bare.diagonal == smith_normal_form(m).diagonal
         assert len(bare.diagonal) == min(rows, cols)
         assert bare.u is bare.v is bare.u_inv is bare.v_inv is None
+    # the fix-ups of the computation modulo one nonzero minor D
+    big = 2 ** 40
+    cases = [
+        # an invariant factor equal to D = 6, read from a 0 modulo D
+        ([[2, 0], [0, 3]], (1, 6)),
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
+        # rank below min(rows, cols)
+        ([[2, 4, 6], [1, 2, 3], [3, 6, 9]], (1, 0, 0)),
+        (planted_matrix(4, 5, [2, 6], [(True, 0, 3, 2), (False, 4, 1, -3),
+                                       (True, 2, 1, 5), (False, 0, 2, 1)]).tolist(),
+         (2, 6, 0, 0)),
+        # 40-bit and negative entries
+        ([[-big, 3], [5, -big + 1]], None),
+        ([[big, 2 * big], [-3 * big, big + 6]], None),
+        ([[-(2 ** 39) + 7, big - 1, 3], [-5, 0, -big]], None),
+        # D = 1
+        ([[1, 2], [3, 5]], (1, 1)),
+        # rank 1: the gcd of the entries
+        ([[7]], (7,)),
+        ([[6, -10, 4]], (2,)),
+        # zero rows and zero columns
+        ([[0, 0, 0], [0, 4, 0], [0, 0, 0], [0, 6, 2]], (2, 4, 0)),
+        ([[0, 0], [0, 0], [0, -9]], (9, 0)),
+    ]
+    for rows, expected in cases:
+        m = IntMatrix.from_rows(rows)
+        bare = smith_normal_form(m, transforms=False).diagonal
+        assert bare == smith_normal_form(m).diagonal
+        assert expected is None or bare == expected
+
+
+def scan_boundaries():
+    """Every distinct boundary matrix of the 108 complexes of the robustness
+    scan: random_valid_spec with k in {2, 3, 4}, 4-6 vertices, seeds 0-11."""
+    matrices = {}
+    for k, nv, seed in cartesian((2, 3, 4), (4, 5, 6), range(12)):
+        spec = random_valid_spec(random.Random(seed), k=k, nv=nv)
+        partition = validate(spec)
+        graded = build_graded_group(partition)
+        rhos = tuple(build_rho(spec, c, partition, graded) for c in range(1, k + 1))
+        for part, period in (("real", REAL_PERIOD), ("complex", COMPLEX_PERIOD)):
+            for j in range(period):
+                cx = build_complex(spec, j, part, partition, graded, rhos)
+                for b in cx.boundaries:
+                    matrices.setdefault(b.matrix, (k, nv, seed))
+    return matrices
+
+
+def test_diagonal_only_snf_on_every_scan_boundary():
+    for m, name in scan_boundaries().items():
+        # the oracle runs the integer loop on the taller orientation, where
+        # its own coefficient growth stays small on these matrices
+        oracle = smith_normal_form(m if m.rows >= m.cols else m.transpose())
+        assert smith_normal_form(m, transforms=False).diagonal == oracle.diagonal, name
+        rank, minor = _rank_and_minor(m)
+        assert rank == oracle.rank, name
+        assert minor ** 2 <= hadamard_bound_squared(m), name
 
 
 def test_matrix_shape_checks_and_immutability():

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import time
 
 import pytest
 
@@ -215,15 +216,21 @@ def random_doc(k, nv, seed):
     ("random-4-4-3", random_doc(4, 4, 3), 0),
     ("random-3-5-7", random_doc(3, 5, 7), 0),
     ("random-2-6-2", random_doc(2, 6, 2), 4),
+    ("random-4-6-0", random_doc(4, 6, 0), 0),
 ])
 def test_inputs_with_large_extension_searches_finish(tmp_path, name, doc, code):
     # each needs large extension and d2-variant searches; (2,6,2) must stop
     # at the default order bound instead of running on
     path = write_input(tmp_path, f"{name}.json", doc)
+    start = time.perf_counter()
     got, out, err = run_cli(["compute", path])
+    elapsed = time.perf_counter() - start
     assert got == code, err
     if code == 4:
         assert out == "" and err.startswith("BoundExceeded: order ")
+    if name == "random-4-6-0":
+        # its Smith diagonals once grew coefficients without bound and hung
+        assert elapsed < 2
 
 
 def test_one_run_keeps_the_snf_memo_small(tmp_path):
@@ -256,6 +263,16 @@ def test_malformed_shape_is_a_validation_error(tmp_path):
     code, out, err = run_cli(["compute", path])
     assert (code, out) == (2, "")
     assert err == "MalformedShape: expected 2 adjacency matrices, got 1\n"
+
+
+def test_repeated_vertex_name_is_a_validation_error(tmp_path):
+    # a report naming "a" twice could not say which vertex is which
+    doc = {"k": 1, "vertices": ["a", "a"], "involution": [0, 1],
+           "matrices": [[[2, 0], [0, 2]]]}
+    path = write_input(tmp_path, "twice.json", doc)
+    code, out, err = run_cli(["compute", path])
+    assert (code, out) == (2, "")
+    assert err == "MalformedShape: vertex a is listed twice\n"
 
 
 def test_one_run_validates_and_reports_once(monkeypatch):
