@@ -10,7 +10,6 @@ from .abelian import (
     NotChainMap,
     NotWellDefined,
     extension_candidates,
-    group_from_presentation,
     homology,
     induced_hom,
     kernel_lattice,

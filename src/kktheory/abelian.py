@@ -7,13 +7,17 @@ ever touches floating point, so results are exact at any size.  The pieces:
   shapes like 0 x n, which occur routinely as boundary maps of trivial groups.
 * ``smith_normal_form`` -- ``u @ m @ v == d`` with unimodular ``u``, ``v`` and
   a divisibility chain ``d[0][0] | d[1][1] | ...`` of nonnegative entries;
-  ``transforms=False`` computes ``d`` alone modulo one nonzero minor D, so
-  no intermediate entry exceeds the Hadamard bound.
-* ``FgAbGroup`` -- a finitely generated abelian group presented as the
-  cokernel of a relations matrix, carrying its canonical invariant-factor
-  decomposition.  Equality of groups means equality of canonical forms.
-* ``GroupHom`` -- an integer matrix between presented groups; the constructor
-  certifies that the matrix descends to a well-defined homomorphism.
+  ``transforms=False`` computes the diagonal alone modulo one nonzero minor
+  D, so no intermediate entry exceeds the Hadamard bound.
+* ``FgAbGroup`` -- a finitely generated abelian group Z^n modulo one modulus
+  per coordinate (0 for a free coordinate), carrying its canonical
+  invariant-factor decomposition.  Every group of the calculator has this
+  form: the coefficient groups are sums of Z, Z_2 and 0, and every later
+  group is built from its invariants.  Equality of groups means equality of
+  canonical forms.
+* ``GroupHom`` -- an integer matrix between such groups; the constructor
+  certifies that the matrix descends to a well-defined homomorphism, one
+  divisibility check per target coordinate.
 * ``homology`` -- ker/im of a two-step complex of presented groups, returned
   in canonical form together with ambient lifts of its generators, so that
   maps induced on homology can be computed afterwards (``induced_hom``).
@@ -26,7 +30,7 @@ ever touches floating point, so results are exact at any size.  The pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product as _cartesian
 from math import gcd, prod
@@ -215,22 +219,22 @@ class IntMatrix:
 class SnfDecomposition:
     """u @ m @ v == d; u, v unimodular; d diagonal, nonnegative, d_i | d_{i+1}.
 
-    The inverses of the transforms are tracked alongside because downstream
-    computations (image bases, generator lifts) need them.  A decomposition
-    made with ``transforms=False`` carries ``d`` alone, computed modulo a
-    nonzero minor; its four transforms are None.
+    ``diagonal`` holds the min(rows, cols) diagonal entries of d and ``shape``
+    the shape of m; ``d`` itself is rebuilt from them on demand.  ``u_inv`` is
+    tracked alongside because image bases and generator lifts need it.  A
+    decomposition made with ``transforms=False`` carries the diagonal alone,
+    computed modulo a nonzero minor; its three transforms are None.
     """
 
-    u: IntMatrix | None
-    d: IntMatrix
-    v: IntMatrix | None
-    u_inv: IntMatrix | None
-    v_inv: IntMatrix | None
+    diagonal: tuple
+    shape: tuple
+    u: IntMatrix | None = None
+    v: IntMatrix | None = None
+    u_inv: IntMatrix | None = None
 
     @property
-    def diagonal(self):
-        n = min(self.d.rows, self.d.cols)
-        return tuple(self.d.data[i][i] for i in range(n))
+    def d(self) -> IntMatrix:
+        return IntMatrix.diagonal(self.diagonal, *self.shape)
 
     @property
     def rank(self):
@@ -245,19 +249,16 @@ def smith_normal_form(m: IntMatrix, transforms: bool = True) -> SnfDecomposition
     value, which makes the output deterministic.  Only ``d`` is canonical;
     ``u`` and ``v`` are just *some* witnesses, so tests should check
     identities, not their literal entries.  With ``transforms=False`` only
-    ``d`` is computed, with entries bounded by one nonzero minor
+    the diagonal is computed, with entries bounded by one nonzero minor
     (``_smith_diagonal``).
     """
     if not transforms:
-        diag = _smith_diagonal(m)
-        return SnfDecomposition(None, IntMatrix.diagonal(diag, m.rows, m.cols),
-                                None, None, None)
+        return SnfDecomposition(_smith_diagonal(m), m.shape)
     rows, cols = m.rows, m.cols
     d = [list(row) for row in m.data]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     ui = [row[:] for row in u]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vi = [row[:] for row in v]
 
     def row_swap(a, b):
         d[a], d[b] = d[b], d[a]
@@ -282,14 +283,12 @@ def smith_normal_form(m: IntMatrix, transforms: bool = True) -> SnfDecomposition
             r[a], r[b] = r[b], r[a]
         for r in v:
             r[a], r[b] = r[b], r[a]
-        vi[a], vi[b] = vi[b], vi[a]
 
     def col_add(a, b, q):  # col a += q * col b
         for r in d:
             r[a] += q * r[b]
         for r in v:
             r[a] += q * r[b]
-        vi[b] = [x - q * y for x, y in zip(vi[b], vi[a])]
 
     t = 0
     limit = min(rows, cols)
@@ -346,11 +345,11 @@ def smith_normal_form(m: IntMatrix, transforms: bool = True) -> SnfDecomposition
             row_negate(i)
 
     return SnfDecomposition(
+        diagonal=tuple(d[i][i] for i in range(limit)),
+        shape=m.shape,
         u=IntMatrix(rows, rows, u),
-        d=IntMatrix(rows, cols, d),
         v=IntMatrix(cols, cols, v),
         u_inv=IntMatrix(rows, rows, ui),
-        v_inv=IntMatrix(cols, cols, vi),
     )
 
 
@@ -520,10 +519,6 @@ def solve_in_span(a: IntMatrix, b: IntMatrix):
     return IntMatrix.from_columns(xcols, rows=a.cols)
 
 
-def in_span(a: IntMatrix, b: IntMatrix) -> bool:
-    return solve_in_span(a, b) is not None
-
-
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns form a basis of the integer null space of ``a``."""
     s = smith_normal_form(a)
@@ -544,18 +539,37 @@ def column_span_basis(a: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True, eq=False)
 class FgAbGroup:
-    """Cokernel of ``relations`` inside Z^ambient_rank, plus canonical form.
+    """Z^n modulo one modulus per coordinate, plus its canonical form.
 
+    ``moduli[i]`` is the order of the i-th generator, 0 for a free coordinate.
     ``invariant_factors`` is the divisibility chain d_1 | d_2 | ... (each at
-    least 2) and ``free_rank`` the number of Z summands.  Two groups compare
-    equal when their canonical forms agree, i.e. when they are isomorphic;
-    use ``same_presentation`` when literal coordinates matter.
+    least 2) and ``free_rank`` the number of Z summands, both computed once
+    from the moduli.  Two groups compare equal when their canonical forms
+    agree, i.e. when they are isomorphic; use ``same_presentation`` when
+    literal coordinates matter.
     """
 
-    ambient_rank: int
-    relations: IntMatrix
-    invariant_factors: tuple
-    free_rank: int
+    moduli: tuple
+    invariant_factors: tuple = field(init=False)
+    free_rank: int = field(init=False)
+
+    def __post_init__(self):
+        chain = _divisibility_chain([abs(m) for m in self.moduli if m])
+        object.__setattr__(self, "invariant_factors", tuple(d for d in chain if d != 1))
+        object.__setattr__(self, "free_rank", self.moduli.count(0))
+
+    @property
+    def ambient_rank(self):
+        return len(self.moduli)
+
+    @property
+    def relations(self) -> IntMatrix:
+        """The relations as columns m_i e_i, one per coordinate with m_i != 0,
+        in coordinate order."""
+        n = len(self.moduli)
+        return IntMatrix.from_columns(
+            [[m if r == i else 0 for r in range(n)] for i, m in enumerate(self.moduli) if m],
+            rows=n)
 
     @property
     def canonical(self):
@@ -603,11 +617,8 @@ class FgAbGroup:
 
     @staticmethod
     def from_invariants(factors, free_rank=0) -> "FgAbGroup":
-        """Group presented with one generator per cyclic factor (diag relations)."""
-        factors = [int(d) for d in factors]
-        n = len(factors) + free_rank
-        rel = IntMatrix.diagonal(factors, rows=n, cols=len(factors))
-        return group_from_presentation(rel)
+        """Group with one generator per cyclic factor, then ``free_rank`` free ones."""
+        return FgAbGroup(tuple(int(d) for d in factors) + (0,) * free_rank)
 
     @staticmethod
     def from_description(text: str) -> "FgAbGroup":
@@ -628,21 +639,8 @@ class FgAbGroup:
         return FgAbGroup.from_invariants(factors, free)
 
 
-def group_from_presentation(relations: IntMatrix) -> FgAbGroup:
-    """Canonicalize Z^rows / (column span of ``relations``) via its SNF."""
-    diag = smith_normal_form(relations, transforms=False).diagonal
-    factors = tuple(e for e in diag if e >= 2)
-    rank = sum(1 for e in diag if e != 0)
-    return FgAbGroup(
-        ambient_rank=relations.rows,
-        relations=relations,
-        invariant_factors=factors,
-        free_rank=relations.rows - rank,
-    )
-
-
 def free_group(n: int) -> FgAbGroup:
-    return group_from_presentation(IntMatrix.zeros(n, 0))
+    return FgAbGroup((0,) * n)
 
 
 def trivial_group() -> FgAbGroup:
@@ -656,21 +654,18 @@ def cyclic_group(n: int) -> FgAbGroup:
 
 
 def direct_sum(*groups) -> FgAbGroup:
-    amb = sum(g.ambient_rank for g in groups)
-    cols = []
-    offset = 0
-    for g in groups:
-        for j in range(g.relations.cols):
-            col = [0] * amb
-            for i, x in enumerate(g.relations.col(j)):
-                col[offset + i] = x
-            cols.append(col)
-        offset += g.ambient_rank
-    return group_from_presentation(IntMatrix.from_columns(cols, rows=amb))
+    return FgAbGroup(sum((g.moduli for g in groups), ()))
 
 
 def same_presentation(a: FgAbGroup, b: FgAbGroup) -> bool:
-    return a.ambient_rank == b.ambient_rank and a.relations == b.relations
+    return a.moduli == b.moduli
+
+
+def _vanishes_in(g: FgAbGroup, rows) -> bool:
+    """Whether every column of ``rows`` (one row per coordinate of g) lies in
+    the relations of g: row i is divisible by moduli[i], or zero when free."""
+    return all(all(x % m == 0 for x in row) if m else not any(row)
+               for m, row in zip(g.moduli, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +685,10 @@ class GroupHom:
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match "
                 f"{self.target.ambient_rank}x{self.source.ambient_rank}")
-        image_of_relations = self.matrix @ self.source.relations
-        if solve_in_span(self.target.relations, image_of_relations) is None:
+        # the source relation m_j e_j maps to m_j times column j
+        scales = self.source.moduli
+        images = ([x * m for x, m in zip(row, scales) if m] for row in self.matrix.data)
+        if not _vanishes_in(self.target, images):
             raise NotWellDefined(
                 "matrix does not map source relations into target relations")
 
@@ -710,12 +707,12 @@ class GroupHom:
         return GroupHom(self.source, self.target, -self.matrix)
 
     def is_zero(self) -> bool:
-        return in_span(self.target.relations, self.matrix)
+        return _vanishes_in(self.target, self.matrix.data)
 
     def equals(self, other: "GroupHom") -> bool:
         return (same_presentation(self.source, other.source)
                 and same_presentation(self.target, other.target)
-                and in_span(self.target.relations, self.matrix - other.matrix))
+                and _vanishes_in(self.target, (self.matrix - other.matrix).data))
 
     def __repr__(self):
         return f"GroupHom({self.source.describe()} -> {self.target.describe()})"
@@ -826,14 +823,11 @@ def _lattice_homology(boundary_in: IntMatrix, middle: FgAbGroup, d_out: GroupHom
 
 
 def _uniform_modulus(g: FgAbGroup):
-    """m when g is presented as Z^n / mZ^n, with 0 for no relations; else None."""
-    rel = g.relations
-    if rel.is_zero():
-        return 0
-    m = rel[0, 0]
-    if rel == IntMatrix.identity(g.ambient_rank).scaled(m):
-        return m
-    return None
+    """m when every coordinate of g has modulus m (0 when g is free); else None."""
+    moduli = set(g.moduli)
+    if len(moduli) > 1:
+        return None
+    return moduli.pop() if moduli else 0
 
 
 def _diagonal_homology(d_in: GroupHom, d_out: GroupHom):

@@ -9,7 +9,9 @@ Input is a single JSON document
 
 where matrices[i][v][w] counts the color-(i+1) edges with source w and
 range v.  Every number must be a JSON integer: a float, string or boolean in
-its place is a parse error, not truncated.  The computation is one call of
+its place is a parse error, not truncated.  Likewise every list above must
+be a JSON array: a string or object in its place is a parse error, not read
+as a sequence of its characters or keys.  The computation is one call of
 ``spectral.run_pipeline``; this module only parses, serialises and renders.
 Output is a human-readable text report or a machine-readable JSON document
 (schema "kkth/1"); both are deterministic byte-for-byte for a fixed input.
@@ -25,7 +27,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .abelian import DEFAULT_EXTENSION_BOUND, BoundExceeded, FgAbGroup, smith_normal_form
+from .abelian import DEFAULT_EXTENSION_BOUND, BoundExceeded, FgAbGroup
 from .kgraph import KGraphError, KGraphSpec
 from .spectral import run_pipeline
 
@@ -77,6 +79,12 @@ def load_spec(path: str) -> KGraphSpec:
     unknown = doc.keys() - required
     if unknown:
         raise ParseError(f"unknown keys: {sorted(unknown)}")
+    for key in ("vertices", "involution", "matrices"):
+        if type(doc[key]) is not list:  # a string or object would be iterated
+            raise ParseError(f"{key} must be an array")
+    if not all(type(m) is list and all(type(row) is list for row in m)
+               for m in doc["matrices"]):
+        raise ParseError("each matrix and each of its rows must be an array")
     try:
         for x in [doc["k"], *doc["involution"],
                   *(x for m in doc["matrices"] for row in m for x in row)]:
@@ -181,9 +189,7 @@ def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
             inter[f"{part}/{j}"] = {
                 "groups": [_gstr(g) for g in cx.groups],
                 "boundaries": [b.matrix.tolist() for b in cx.boundaries],
-                "snf_diagonals": [
-                    list(smith_normal_form(b.matrix, transforms=False).diagonal)
-                    for b in cx.boundaries],
+                "snf_diagonals": [list(diag) for diag in cx.snf_diagonals],
             }
         doc["intermediate"] = inter
 

@@ -109,12 +109,11 @@ def build_rho(spec: KGraphSpec, color: int,
     b11, b12, b21 = blocks.b11, blocks.b12, blocks.b21
     plus = blocks.b22 + blocks.b23
     minus = blocks.b22 - blocks.b23
-    mixed_mods = [2] * nf + [0] * n1
 
     deg0 = IntMatrix.assemble([[b11, b12.scaled(2)], [b21, plus]])
-    deg1 = _reduce_rows(b11, [2] * nf)
+    deg1 = _reduce_rows(b11, graded.group("real", 1).moduli)
     deg2 = _reduce_rows(IntMatrix.assemble([[b11, b12], [IntMatrix.zeros(n1, nf), minus]]),
-                        mixed_mods)
+                        graded.group("real", 2).moduli)
     deg4 = IntMatrix.assemble([[b11, b12], [b21.scaled(2), plus]])
     deg6 = minus
 

@@ -8,7 +8,10 @@ the full sweep of one core cycle) are the oracles for the library's
 combinatorial answers to the same questions.  The rank-one building-block
 tables with their relation checker, and the square-zero check of a chain
 complex, are written out here for the tests that pin down the structure the
-library builds on.
+library builds on.  ``group_from_presentation`` and ``in_span`` read a
+group and a span from a general relations matrix by Smith normal form: the
+oracles for the library's groups, which are held as one modulus per
+coordinate.
 """
 
 from dataclasses import dataclass
@@ -20,8 +23,8 @@ from kktheory.abelian import (
     GroupHom,
     IntMatrix,
     abelian_groups_of_order,
-    group_from_presentation,
-    in_span,
+    smith_normal_form,
+    solve_in_span,
     trivial_group,
 )
 from kktheory.kgraph import KGraphSpec, VertexPartition
@@ -203,9 +206,9 @@ def random_finite_complex(rng, max_order=2 ** 12):
             order = _lcm(order, m // _gcd(a, m))
         mods_a.append(order)
         f_cols.append(list(v))
-    group_a = group_from_presentation(IntMatrix.diagonal(mods_a, rows=len(mods_a)))
-    group_b = group_from_presentation(IntMatrix.diagonal(mods_b, rows=len(mods_b)))
-    group_c = group_from_presentation(IntMatrix.diagonal(mods_c, rows=len(mods_c)))
+    group_a = FgAbGroup(tuple(mods_a))
+    group_b = FgAbGroup(tuple(mods_b))
+    group_c = FgAbGroup(tuple(mods_c))
     f_hom = GroupHom(group_a, group_b,
                      IntMatrix.from_columns(f_cols, rows=len(mods_b)))
     g_hom = GroupHom(group_b, group_c, IntMatrix(len(mods_c), len(mods_b), g_rows))
@@ -280,6 +283,23 @@ def core_table_consistent(mo_ranks, mu_ranks):
 
 def group_of(desc: str) -> FgAbGroup:
     return FgAbGroup.from_description(desc)
+
+
+# ---------------------------------------------------------------------------
+# Groups and spans of a general relations matrix, by Smith normal form
+# ---------------------------------------------------------------------------
+
+def group_from_presentation(relations: IntMatrix) -> FgAbGroup:
+    """Canonical form of Z^rows / (column span of ``relations``), read from
+    its Smith diagonal."""
+    diag = smith_normal_form(relations, transforms=False).diagonal
+    rank = sum(1 for e in diag if e)
+    return FgAbGroup.from_invariants([e for e in diag if e >= 2], relations.rows - rank)
+
+
+def in_span(a: IntMatrix, b: IntMatrix) -> bool:
+    """Does every column of ``b`` lie in the integer column span of ``a``?"""
+    return solve_in_span(a, b) is not None
 
 
 # ---------------------------------------------------------------------------

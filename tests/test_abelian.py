@@ -18,20 +18,20 @@ from kktheory.abelian import (
     direct_sum,
     extension_candidates,
     free_group,
-    group_from_presentation,
     homology,
     identity_hom,
     induced_hom,
-    in_span,
     kernel_basis,
     kernel_lattice,
     column_span_basis,
+    same_presentation,
     smith_normal_form,
     solve_in_span,
     trivial_group,
     zero_hom,
 )
 
+from kktheory import abelian
 from kktheory.abelian import _diagonal_homology, _lattice_homology, _rank_and_minor
 from kktheory.crmodule import COMPLEX_PERIOD, REAL_PERIOD, build_graded_group, build_rho
 from kktheory.kgraph import validate
@@ -41,7 +41,9 @@ from kktheory.spectral import compute_e2
 from helpers import (
     determinant,
     extension_candidates_by_homs,
+    group_from_presentation,
     hadamard_bound_squared,
+    in_span,
     oracle_homology_invariants,
     planted_matrix,
     random_finite_complex,
@@ -97,7 +99,6 @@ def test_snf_random_properties():
         assert abs(determinant(s.u)) == 1
         assert abs(determinant(s.v)) == 1
         assert s.u @ s.u_inv == IntMatrix.identity(rows)
-        assert s.v @ s.v_inv == IntMatrix.identity(cols)
         diag = s.diagonal
         assert all(e >= 0 for e in diag)
         for a, b in zip(diag, diag[1:]):
@@ -117,7 +118,7 @@ def test_diagonal_only_snf_matches_full_decomposition():
         bare = smith_normal_form(m, transforms=False)
         assert bare.diagonal == smith_normal_form(m).diagonal
         assert len(bare.diagonal) == min(rows, cols)
-        assert bare.u is bare.v is bare.u_inv is bare.v_inv is None
+        assert bare.u is bare.v is bare.u_inv is None
     # the fix-ups of the computation modulo one nonzero minor D
     big = 2 ** 40
     cases = [
@@ -240,6 +241,45 @@ def test_presentation_invariance_under_column_operations():
                  for i in range(rows)]
         widened = IntMatrix.hstack(rel, IntMatrix.column(combo))
         assert group_from_presentation(widened) == g
+
+
+def test_relations_are_one_column_per_nonzero_modulus():
+    # the lattice path and the emitted lifts depend on this exact layout
+    g = FgAbGroup.from_invariants([2, 1, 3], 2)
+    assert g.moduli == (2, 1, 3, 0, 0)
+    assert g.relations == IntMatrix.diagonal([2, 1, 3], rows=5, cols=3)
+    assert FgAbGroup((2, 0, 3)).relations == \
+        IntMatrix.from_columns([[2, 0, 0], [0, 0, 3]], rows=3)
+    assert free_group(3).relations == IntMatrix.zeros(3, 0)
+    assert g.canonical == ((6,), 2)
+
+
+def test_same_presentation_compares_moduli_in_order():
+    a, b = FgAbGroup((2, 3)), FgAbGroup((3, 2))
+    assert a == b and not same_presentation(a, b)
+    assert same_presentation(a, direct_sum(cyclic_group(2), cyclic_group(3)))
+    with pytest.raises(ValueError):
+        homology(zero_hom(trivial_group(), a), zero_hom(b, trivial_group()))
+
+
+def test_groups_and_homs_need_no_smith_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Smith form was computed")
+
+    monkeypatch.setattr(abelian, "smith_normal_form", refuse)
+    a = FgAbGroup.from_invariants([2, 4], 1)
+    b = direct_sum(a, free_group(2), cyclic_group(3), trivial_group())
+    assert b.describe() == "Z_2 + Z_12 + Z + Z + Z"
+    assert b.moduli == (2, 4, 0, 0, 0, 3)
+    embed = IntMatrix.from_columns([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                                    [0, 0, 1, 0, 0, 0]], rows=6)
+    h = GroupHom(a, b, embed)
+    assert not h.is_zero()
+    assert (h + (-h)).is_zero() and h.equals(h + h + (-h))
+    twice = GroupHom(cyclic_group(2), a, IntMatrix.from_rows([[0], [2], [0]]))
+    assert not twice.is_zero() and GroupHom(cyclic_group(2), a, twice.matrix.scaled(2)).is_zero()
+    with pytest.raises(NotWellDefined):
+        GroupHom(a, free_group(1), IntMatrix.from_rows([[1, 0, 0]]))
 
 
 def test_describe_round_trip():

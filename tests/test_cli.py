@@ -241,6 +241,13 @@ def test_one_run_keeps_the_snf_memo_small(tmp_path):
     assert smith_normal_form.cache_info().currsize <= 200
 
 
+def swap_doc(**fields):
+    # one colour on two swapped vertices
+    doc = {"k": 1, "vertices": ["a", "b"], "involution": [1, 0],
+           "matrices": [[[0, 1], [1, 0]]]}
+    return dict(doc, **fields)
+
+
 @pytest.mark.parametrize("field, doc", [
     ("k", dict(one_vertex_doc(4, 4), k=2.9)),
     ("float entry", dict(one_vertex_doc(4, 4), matrices=[[[4.7]], [[4]]])),
@@ -248,9 +255,16 @@ def test_one_run_keeps_the_snf_memo_small(tmp_path):
     ("string entry", dict(one_vertex_doc(4, 4), matrices=[[["4"]], [[4]]])),
     ("image", dict(one_vertex_doc(4, 4), involution=[0.2])),
     ("vertex name", dict(one_vertex_doc(4, 4), vertices=[7])),
+    ("vertices string", swap_doc(vertices="ab")),
+    ("vertices object", swap_doc(vertices={"a": 1, "b": 2})),
+    ("involution object", swap_doc(vertices=[], involution={}, matrices=[[]])),
+    ("matrices object", swap_doc(matrices={})),
+    ("matrix object", swap_doc(vertices=[], involution=[], matrices=[{}])),
+    ("row object", swap_doc(matrices=[[{"x": 0}, [1, 0]]])),
 ])
 def test_non_integer_fields_are_parse_errors(tmp_path, field, doc):
-    # int() would truncate each of these to a valid input
+    # int() would truncate each number here, and iterating a string or an
+    # object would read its characters or keys, to a valid input
     path = write_input(tmp_path, "bad.json", doc)
     code, out, err = run_cli(["compute", path])
     assert code == 2 and out == ""
