@@ -7,8 +7,10 @@ ever touches floating point, so results are exact at any size.  The pieces:
   shapes like 0 x n, which occur routinely as boundary maps of trivial groups.
 * ``smith_normal_form`` -- ``u @ m @ v == d`` with unimodular ``u``, ``v`` and
   a divisibility chain ``d[0][0] | d[1][1] | ...`` of nonnegative entries;
-  ``transforms=False`` computes the diagonal alone modulo one nonzero minor
-  D, so no intermediate entry exceeds the Hadamard bound.
+  ``smith_diagonal`` computes the diagonal alone modulo one nonzero minor D,
+  so no intermediate entry exceeds the Hadamard bound.  Nothing is memoized
+  across calls: a boundary keeps its diagonal (``GroupHom.smith_diagonal``)
+  and a homology cell the decomposition of its kernel lattice.
 * ``FgAbGroup`` -- a finitely generated abelian group Z^n modulo one modulus
   per coordinate (0 for a free coordinate), carrying its canonical
   invariant-factor decomposition.  Every group of the calculator has this
@@ -31,7 +33,7 @@ ever touches floating point, so results are exact at any size.  The pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product as _cartesian
 from math import gcd, prod
 
@@ -222,15 +224,15 @@ class SnfDecomposition:
     ``diagonal`` holds the min(rows, cols) diagonal entries of d and ``shape``
     the shape of m; ``d`` itself is rebuilt from them on demand.  ``u_inv`` is
     tracked alongside because image bases and generator lifts need it.  A
-    decomposition made with ``transforms=False`` carries the diagonal alone,
-    computed modulo a nonzero minor; its three transforms are None.
+    caller that solves against the same m more than once keeps this object
+    and calls ``solve`` on it.
     """
 
     diagonal: tuple
     shape: tuple
-    u: IntMatrix | None = None
-    v: IntMatrix | None = None
-    u_inv: IntMatrix | None = None
+    u: IntMatrix
+    v: IntMatrix
+    u_inv: IntMatrix
 
     @property
     def d(self) -> IntMatrix:
@@ -240,20 +242,34 @@ class SnfDecomposition:
     def rank(self):
         return sum(1 for e in self.diagonal if e != 0)
 
+    def solve(self, b: IntMatrix):
+        """Solve ``m @ x == b`` over the integers, columnwise.
 
-@lru_cache(maxsize=None)
-def smith_normal_form(m: IntMatrix, transforms: bool = True) -> SnfDecomposition:
+        Returns an IntMatrix ``x`` with one column per column of ``b``, or
+        None if some column of ``b`` is not in the column span of m.
+        """
+        if self.shape[0] != b.rows:
+            raise ValueError("row counts differ")
+        diag, r = self.diagonal, self.rank
+        xcols = []
+        for j in range(b.cols):
+            c = self.u.apply(b.col(j))
+            if any(c[i] % diag[i] for i in range(r)) or any(c[r:]):
+                return None
+            xcols.append(self.v.apply([c[i] // diag[i] for i in range(r)]
+                                      + [0] * (self.shape[1] - r)))
+        return IntMatrix.from_columns(xcols, rows=self.shape[1])
+
+
+def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     Pivoting always picks the remaining entry of smallest nonzero absolute
     value, which makes the output deterministic.  Only ``d`` is canonical;
     ``u`` and ``v`` are just *some* witnesses, so tests should check
-    identities, not their literal entries.  With ``transforms=False`` only
-    the diagonal is computed, with entries bounded by one nonzero minor
-    (``_smith_diagonal``).
+    identities, not their literal entries.  Each call decomposes afresh;
+    ``smith_diagonal`` computes the diagonal alone with bounded entries.
     """
-    if not transforms:
-        return SnfDecomposition(_smith_diagonal(m), m.shape)
     rows, cols = m.rows, m.cols
     d = [list(row) for row in m.data]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
@@ -353,7 +369,7 @@ def smith_normal_form(m: IntMatrix, transforms: bool = True) -> SnfDecomposition
     )
 
 
-def _smith_diagonal(m: IntMatrix):
+def smith_diagonal(m: IntMatrix) -> tuple:
     """The Smith diagonal of ``m``, with every intermediate entry bounded.
 
     Fraction-free elimination gives the rank r and a nonzero r x r minor D.
@@ -489,34 +505,8 @@ def _divisibility_chain(values):
 
 
 def solve_in_span(a: IntMatrix, b: IntMatrix):
-    """Solve ``a @ x == b`` over the integers, columnwise.
-
-    Returns an IntMatrix ``x`` with one column per column of ``b``, or None if
-    some column of ``b`` is not in the column span of ``a``.
-    """
-    if a.rows != b.rows:
-        raise ValueError("row counts differ")
-    s = smith_normal_form(a)
-    diag = s.diagonal
-    r = s.rank
-    xcols = []
-    for j in range(b.cols):
-        c = s.u.apply(b.col(j))
-        y = [0] * a.cols
-        ok = True
-        for i, ci in enumerate(c):
-            if i < r:
-                if ci % diag[i]:
-                    ok = False
-                    break
-                y[i] = ci // diag[i]
-            elif ci != 0:
-                ok = False
-                break
-        if not ok:
-            return None
-        xcols.append(s.v.apply(y))
-    return IntMatrix.from_columns(xcols, rows=a.cols)
+    """Solve ``a @ x == b`` over the integers (see ``SnfDecomposition.solve``)."""
+    return smith_normal_form(a).solve(b)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -709,6 +699,11 @@ class GroupHom:
     def is_zero(self) -> bool:
         return _vanishes_in(self.target, self.matrix.data)
 
+    @cached_property
+    def smith_diagonal(self) -> tuple:
+        """The Smith diagonal of the matrix, computed on first use."""
+        return smith_diagonal(self.matrix)
+
     def equals(self, other: "GroupHom") -> bool:
         return (same_presentation(self.source, other.source)
                 and same_presentation(self.target, other.target)
@@ -745,9 +740,11 @@ def kernel_lattice(h: GroupHom) -> IntMatrix:
 
 @dataclass(frozen=True)
 class _LatticeData:
-    """Kernel lattice of a homology cell and its canonical change of basis."""
+    """Kernel lattice of a homology cell, the decomposition that solves
+    against its basis, and its canonical change of basis."""
 
     basis: IntMatrix
+    basis_snf: SnfDecomposition
     lift: IntMatrix
     transform: IntMatrix       # row transform of the SNF of the inner relations
     diag: tuple
@@ -790,7 +787,7 @@ class HomologyResult:
     def express(self, vec):
         """Coordinates of an ambient kernel element in the canonical generators."""
         data = self._lattice
-        w = solve_in_span(data.basis, IntMatrix.column(vec))
+        w = data.basis_snf.solve(IntMatrix.column(vec))
         if w is None:
             raise ValueError("element does not lie in the kernel lattice")
         z = data.transform.apply(w.col(0))
@@ -807,8 +804,9 @@ class HomologyResult:
 def _lattice_homology(boundary_in: IntMatrix, middle: FgAbGroup, d_out: GroupHom):
     """Homology group and lattice data through the kernel lattice of d_out."""
     lattice = kernel_lattice(d_out)
+    lattice_snf = smith_normal_form(lattice)
     inner = IntMatrix.hstack(boundary_in, middle.relations)
-    relations_in_lattice = solve_in_span(lattice, inner)
+    relations_in_lattice = lattice_snf.solve(inner)
     if relations_in_lattice is None:  # impossible once composition is zero
         raise RuntimeError("image escaped the kernel lattice")
     s = smith_normal_form(relations_in_lattice)
@@ -819,7 +817,7 @@ def _lattice_homology(boundary_in: IntMatrix, middle: FgAbGroup, d_out: GroupHom
     kept = torsion_idx + free_idx
     group = FgAbGroup.from_invariants([diag[j] for j in torsion_idx], len(free_idx))
     lift = lattice @ s.u_inv.columns(kept)
-    return group, _LatticeData(lattice, lift, s.u, diag, tuple(kept))
+    return group, _LatticeData(lattice, lattice_snf, lift, s.u, diag, tuple(kept))
 
 
 def _uniform_modulus(g: FgAbGroup):
@@ -847,8 +845,7 @@ def _diagonal_homology(d_in: GroupHom, d_out: GroupHom):
     if d_out.target.ambient_rank and _uniform_modulus(d_out.target) != m:
         return None
     n = d_in.target.ambient_rank
-    diag_in = smith_normal_form(d_in.matrix, transforms=False).diagonal
-    diag_out = smith_normal_form(d_out.matrix, transforms=False).diagonal
+    diag_in, diag_out = d_in.smith_diagonal, d_out.smith_diagonal
     if m == 0:
         rank = n - sum(1 for e in diag_out + diag_in if e)
         return FgAbGroup.from_invariants([e for e in diag_in if e >= 2], rank)
@@ -888,7 +885,7 @@ def induced_hom(f: GroupHom, h_src: HomologyResult, h_tgt: HomologyResult) -> Gr
     if not same_presentation(f.target, h_tgt.middle):
         raise ValueError("f.target is not the target homology's middle group")
     mapped = f.matrix @ h_src.kernel_lattice_basis
-    if solve_in_span(h_tgt.kernel_lattice_basis, mapped) is None:
+    if h_tgt._lattice.basis_snf.solve(mapped) is None:
         raise NotChainMap("map does not preserve the kernel lattices")
     cols = []
     for i in range(h_src.lift.cols):

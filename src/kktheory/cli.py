@@ -189,7 +189,7 @@ def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
             inter[f"{part}/{j}"] = {
                 "groups": [_gstr(g) for g in cx.groups],
                 "boundaries": [b.matrix.tolist() for b in cx.boundaries],
-                "snf_diagonals": [list(diag) for diag in cx.snf_diagonals],
+                "snf_diagonals": [list(b.smith_diagonal) for b in cx.boundaries],
             }
         doc["intermediate"] = inter
 

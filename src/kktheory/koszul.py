@@ -13,10 +13,9 @@ homology at every position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
-from .abelian import GroupHom, IntMatrix, direct_sum, smith_normal_form, trivial_group, zero_hom
+from .abelian import GroupHom, IntMatrix, direct_sum, trivial_group, zero_hom
 from .crmodule import GradedGroupA, build_graded_group, build_rho
 from .kgraph import KGraphSpec, VertexPartition, validate
 
@@ -32,8 +31,7 @@ def index_tuples(k: int, p: int):
 class GradedChainComplex:
     """0 -> C_k -> ... -> C_0 -> 0 for one degree of one part.
 
-    ``boundaries[p - 1]`` is the map C_p -> C_{p-1}; ``snf_diagonals`` holds
-    their Smith diagonals, in the same order, computed on first use.
+    ``boundaries[p - 1]`` is the map C_p -> C_{p-1}.
     """
 
     part: str
@@ -51,11 +49,6 @@ class GradedChainComplex:
         if p == self.k + 1:
             return zero_hom(trivial_group(), self.groups[self.k])
         raise ValueError(f"no boundary at position {p}")
-
-    @cached_property
-    def snf_diagonals(self) -> tuple:
-        return tuple(smith_normal_form(b.matrix, transforms=False).diagonal
-                     for b in self.boundaries)
 
 
 def build_complex(spec: KGraphSpec, degree: int, part: str,

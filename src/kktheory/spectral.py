@@ -5,9 +5,10 @@ The E2 page is the homology of the degree-graded chain complexes; it is
 and vanishes outside columns 0..k.  Differentials d^r for 2 <= r <= k are not
 determined by the data in scope, so this module never guesses one: it reports
 every position where a nonzero d^r is degree-possible, and for each affected
-diagonal emits both the d2 = 0 and the d2 != 0 outcomes.  K-groups are
-assembled per diagonal up to the reported ambiguities; extension problems are
-resolved only to the set of all candidate groups, read from Hall's theorem.
+diagonal emits both the d^r = 0 and the d^r != 0 outcomes, labelled with r.
+K-groups are assembled per diagonal up to the reported ambiguities; extension
+problems are resolved only to the set of all candidate groups, read from
+Hall's theorem.
 
 The complex K-groups together with the involution psi feed the 2-torsion core:
 MU_q = ker(1 - psi_q) / im(1 + psi_q), and the MO_q groups are constrained by
@@ -65,7 +66,7 @@ class E2Page:
     k: int
     partition: VertexPartition
     cells: dict            # (part, p, j) -> HomologyResult
-    complexes: dict        # (part, j) -> GradedChainComplex
+    complexes: dict        # (part, j) -> GradedChainComplex, shared by equal boundaries
 
     def cell(self, part: str, p: int, q: int) -> HomologyResult | None:
         if not 0 <= p <= self.k:
@@ -79,18 +80,29 @@ class E2Page:
 
 def compute_e2(spec: KGraphSpec) -> E2Page:
     """Homology of every graded complex; each cell builds its generator lifts
-    when first asked for them."""
+    when first asked for them.
+
+    A complex whose boundaries equal those of an earlier one (same source
+    and target moduli, same matrices) is that earlier complex, with the same
+    cells.  Real degrees 3, 5 and 7 always are; so are real 0, 4 and complex
+    0 when no vertex is paired, and real 2 and 6 when none is fixed.  Its
+    ``part`` and ``degree`` name the first degree built.
+    """
     partition = validate(spec)
     graded = build_graded_group(partition)
     rhos = tuple(build_rho(spec, c, partition, graded) for c in range(1, spec.k + 1))
     cells = {}
     complexes = {}
+    seen = {}              # boundaries -> (complex, its cells for p = 0..k)
     for part in ("real", "complex"):
         for j in range(_period(part)):
             cx = build_complex(spec, j, part, partition, graded, rhos)
-            complexes[(part, j)] = cx
-            for p in range(spec.k + 1):
-                cells[(part, p, j)] = homology(cx.boundary(p + 1), cx.boundary(p))
+            key = tuple((b.source.moduli, b.target.moduli, b.matrix) for b in cx.boundaries)
+            if key not in seen:
+                seen[key] = (cx, [homology(cx.boundary(p + 1), cx.boundary(p))
+                                  for p in range(spec.k + 1)])
+            complexes[(part, j)], column = seen[key]
+            cells.update(((part, p, j), h) for p, h in enumerate(column))
     return E2Page(k=spec.k, partition=partition, cells=cells, complexes=complexes)
 
 
@@ -223,10 +235,11 @@ def assemble_diagonals(page: E2Page, report: DifferentialReport,
         # enumerate the zero / injective outcome of every touching map
         per_entry = []
         for entry in touching:
-            options = [("d2=0", entry, None)]
+            d = f"d{entry.r}"
+            options = [(f"{d}=0", entry, None)]
             injs = _injective_variants(entry.source_group, entry.target_group)
             for idx, coker in enumerate(injs):
-                label = "d2!=0" if len(injs) == 1 else f"d2!=0 ({idx + 1})"
+                label = f"{d}!=0" if len(injs) == 1 else f"{d}!=0 ({idx + 1})"
                 options.append((label, entry, coker))
             per_entry.append(options)
         variants = []
@@ -345,9 +358,13 @@ def compute_ku_with_psi(page: E2Page, report: DifferentialReport) -> KuPsiResult
 
 
 def compute_mu(ku, psi):
-    """MU_q = ker(1 - psi_q) / im(1 + psi_q), always elementary 2-torsion."""
+    """MU_q = ker(1 - psi_q) / im(1 + psi_q), always elementary 2-torsion.
+
+    KU_{q+4} = KU_q and psi_{q+4} = psi_q (since psi_{q+2} = -psi_q), so
+    MU_0..MU_3 are computed and repeated.
+    """
     out = []
-    for q in range(8):
+    for q in range(4):
         g = ku[q]
         ident = IntMatrix.identity(g.ambient_rank)
         minus = GroupHom(g, g, ident - psi[q].matrix)
@@ -356,7 +373,7 @@ def compute_mu(ku, psi):
         if mu.exponent() not in (1, 2):
             raise RuntimeError(f"core group MU_{q} = {mu.describe()} is not 2-torsion")
         out.append(mu)
-    return out
+    return out * 2
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from kktheory.abelian import (
     GroupHom,
     IntMatrix,
     abelian_groups_of_order,
-    smith_normal_form,
+    smith_diagonal,
     solve_in_span,
     trivial_group,
 )
@@ -292,7 +292,7 @@ def group_of(desc: str) -> FgAbGroup:
 def group_from_presentation(relations: IntMatrix) -> FgAbGroup:
     """Canonical form of Z^rows / (column span of ``relations``), read from
     its Smith diagonal."""
-    diag = smith_normal_form(relations, transforms=False).diagonal
+    diag = smith_diagonal(relations)
     rank = sum(1 for e in diag if e)
     return FgAbGroup.from_invariants([e for e in diag if e >= 2], relations.rows - rank)
 

@@ -1,11 +1,14 @@
 import io
 import json
+import pathlib
 import random
+import sys
 import time
 
 import pytest
 
-from kktheory.abelian import FgAbGroup, smith_normal_form
+from kktheory import abelian, kgraph, spectral
+from kktheory.abelian import FgAbGroup
 from kktheory.cli import JobConfig, ParseError, analyze, load_spec, main, render_text, run
 from kktheory.spectral import compute_e2
 
@@ -233,12 +236,38 @@ def test_inputs_with_large_extension_searches_finish(tmp_path, name, doc, code):
         assert elapsed < 2
 
 
-def test_one_run_keeps_the_snf_memo_small(tmp_path):
+def count_calls(monkeypatch, calls, module, attr):
+    """Count the calls of module.attr in ``calls[attr]``, replacing the
+    function wherever a kktheory module refers to it."""
+    orig = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls[attr] += 1
+        return orig(*args, **kwargs)
+
+    calls[attr] = 0
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("kktheory") and getattr(mod, attr, None) is orig:
+            monkeypatch.setattr(mod, attr, counted)
+
+
+def test_runs_keep_no_state(tmp_path, monkeypatch):
+    # a second run in the same process finds nothing left by the first: it
+    # prints the same and decomposes the same matrices again
     path = write_input(tmp_path, "sym8.json", spec_doc(symmetric_three_vertex_spec(8)))
-    smith_normal_form.cache_clear()
-    code, _, _ = run_cli(["compute", path])
-    assert code == 0
-    assert smith_normal_form.cache_info().currsize <= 200
+    assert not hasattr(abelian.smith_normal_form, "cache_info")
+    assert not hasattr(abelian.smith_diagonal, "cache_info")
+    calls = {}
+    count_calls(monkeypatch, calls, abelian, "smith_diagonal")
+    count_calls(monkeypatch, calls, abelian, "smith_normal_form")
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        assert run(JobConfig(input_path=path), stdout=out, stderr=io.StringIO()) == 0
+        runs.append((out.getvalue(), dict(calls)))
+        calls.update(dict.fromkeys(calls, 0))
+    assert runs[0] == runs[1]
+    assert all(runs[0][1].values())
 
 
 def swap_doc(**fields):
@@ -290,27 +319,9 @@ def test_repeated_vertex_name_is_a_validation_error(tmp_path):
 
 
 def test_one_run_validates_and_reports_once(monkeypatch):
-    import pathlib
-    import sys
-    from kktheory import kgraph, spectral
-
     calls = {}
-
-    def count(module, attr):
-        # replace the function wherever a kktheory module refers to it
-        orig = getattr(module, attr)
-
-        def counted(*args, **kwargs):
-            calls[attr] += 1
-            return orig(*args, **kwargs)
-
-        calls[attr] = 0
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("kktheory") and getattr(mod, attr, None) is orig:
-                monkeypatch.setattr(mod, attr, counted)
-
-    count(kgraph, "validate")
-    count(spectral, "differential_report")
+    count_calls(monkeypatch, calls, kgraph, "validate")
+    count_calls(monkeypatch, calls, spectral, "differential_report")
     sample = pathlib.Path(__file__).parent.parent / "sample_inputs" / \
         "three_vertex_symmetric_n2.json"
     code = run(JobConfig(input_path=str(sample)), stdout=io.StringIO(), stderr=io.StringIO())

@@ -1,3 +1,4 @@
+import pathlib
 import random
 from itertools import combinations
 
@@ -12,11 +13,13 @@ from kktheory.abelian import (
     cyclic_group,
     free_group,
     homology,
-    smith_normal_form,
+    identity_hom,
+    induced_hom,
     trivial_group,
     zero_hom,
 )
-from kktheory.cli import _assembly_json, _render_assembly_lines
+from kktheory.cli import _assembly_json, _render_assembly_lines, load_spec
+from kktheory.koszul import build_complex
 from kktheory.spectral import (
     CoreConstraints,
     DifferentialEntry,
@@ -111,6 +114,29 @@ def test_e2_vanishes_outside_columns():
     for p in (-1, 3, 7):
         assert page.group("real", p, 0).is_trivial
         assert page.group("complex", p, 0).is_trivial
+
+
+def test_complexes_with_equal_boundaries_are_shared():
+    """Two degrees share one complex and its cells exactly when their
+    boundaries have the same source and target moduli and matrices."""
+    def boundaries(cx):
+        return tuple((b.source.moduli, b.target.moduli, b.matrix) for b in cx.boundaries)
+
+    rng = random.Random(31)
+    # one_vertex_spec(1, 1) has zero boundaries everywhere, so degrees 0 and 1
+    # differ only in their moduli
+    specs = [symmetric_three_vertex_spec(2), one_vertex_spec(3, 3), one_vertex_spec(1, 1)]
+    specs += [random_valid_spec(rng) for _ in range(6)]
+    for spec in specs:
+        page = compute_e2(spec)
+        for (part, j), cx in page.complexes.items():
+            assert boundaries(build_complex(spec, j, part)) == boundaries(cx)
+        for (a, cx), (b, cy) in combinations(page.complexes.items(), 2):
+            assert (cx is cy) == (boundaries(cx) == boundaries(cy)), (a, b)
+            assert (cx is cy) == all(page.cells[(a[0], p, a[1])] is page.cells[(b[0], p, b[1])]
+                                     for p in range(spec.k + 1)), (a, b)
+        shared = page.complexes
+        assert shared[("real", 3)] is shared[("real", 5)] is shared[("real", 7)]
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +430,34 @@ def test_all_zero_page_builds_no_kernel_lattice(monkeypatch):
             assert asm.candidates[0].is_trivial
 
 
+def test_a_kernel_lattice_is_decomposed_once(monkeypatch):
+    """Once a cell's kernel lattice is built, expressing elements, inducing
+    maps and psi all solve against the decomposition it keeps."""
+    sample = load_spec(str(pathlib.Path(__file__).parent.parent / "sample_inputs" /
+                           "three_vertex_symmetric_n2.json"))
+    page = compute_e2(sample)
+    report = differential_report(page)
+    ku_cells = [page.cell("complex", p, q - p) for q in (0, 1) for p in range(page.k + 1)
+                if not page.group("complex", p, q - p).is_trivial]
+    assert ku_cells
+    for cell in ku_cells:
+        cell.lift  # builds the kernel lattice
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Smith form was computed")
+
+    monkeypatch.setattr(abelian, "smith_normal_form", refuse)
+    for cell in ku_cells:
+        n = cell.lift.cols
+        assert [cell.express(cell.lift.col(i)) for i in range(n)] == \
+            [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        assert induced_hom(identity_hom(cell.middle), cell, cell).equals(
+            identity_hom(cell.group))
+    result = compute_ku_with_psi(page, report)
+    assert all(g == cyclic_group(4) for g in result.ku)
+    assert [result.psi_scalar(q) for q in range(8)] == [-1, -1, 1, 1, -1, -1, 1, 1]
+
+
 def test_ambiguous_complex_part_is_flagged():
     # a singular matrix puts a nonzero group in column p = 2 of the complex
     # part, so the q = 0 diagonal has two candidate factors
@@ -502,7 +556,6 @@ def test_injective_variants_match_the_hom_enumeration_oracle():
             found = _injective_variants(source, target)
             assert found == injective_variants_by_homs(source, target), (source, target)
             multi += len(found) > 1
-            smith_normal_form.cache_clear()  # the oracle leaves one entry per hom
     assert multi == 5
 
 
@@ -515,6 +568,17 @@ class _FactorPage:
 
     def group(self, part, p, q):
         return self.groups.get((p, q % 8), trivial_group())
+
+
+def test_variant_labels_name_the_differential_page():
+    # scan input (3, 5, 7): KO_5 is touched only by d3: (3,2) -> (0,4), and
+    # KO_4 by a d2 and by that d3
+    result = run_pipeline(random_valid_spec(random.Random(7), k=3, nv=5))
+    assert [(e.r, e.source, e.target) for e in result.report.touching("real", 5)] == \
+        [(3, (3, 2), (0, 4))]
+    assert [v.label for v in result.real[5].variants] == ["d3=0", "d3!=0"]
+    assert [v.label for v in result.real[4].variants] == [
+        "d2=0, d3=0", "d2=0, d3!=0", "d2!=0, d3=0", "d2!=0, d3!=0"]
 
 
 def test_injective_variant_labels_follow_sorted_cokernels():
