@@ -23,8 +23,9 @@ ever touches floating point, so results are exact at any size.  The pieces:
 * ``homology`` -- ker/im of a two-step complex of presented groups, returned
   in canonical form together with ambient lifts of its generators, so that
   maps induced on homology can be computed afterwards (``induced_hom``).
-  Free and elementary middle groups are read from Smith diagonals; their
-  lifts are built only when asked for.
+  Every group is read from bounded Smith diagonals of a complex of free
+  modules with the same homology; a cell's kernel lattice and lifts are
+  built only when asked for.
 * ``extension_candidates`` -- the isomorphism classes of finite abelian groups
   admitting a given subgroup with a given quotient, read prime by prime by the
   Hall / Littlewood-Richardson criterion.
@@ -509,20 +510,6 @@ def solve_in_span(a: IntMatrix, b: IntMatrix):
     return smith_normal_form(a).solve(b)
 
 
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the integer null space of ``a``."""
-    s = smith_normal_form(a)
-    return s.v.columns(range(s.rank, a.cols))
-
-
-def column_span_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the lattice spanned by the columns of ``a``."""
-    s = smith_normal_form(a)
-    diag = s.diagonal
-    cols = [tuple(diag[j] * x for x in s.u_inv.col(j)) for j in range(s.rank)]
-    return IntMatrix.from_columns(cols, rows=a.rows)
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
@@ -729,9 +716,12 @@ def kernel_lattice(h: GroupHom) -> IntMatrix:
     source relations.
     """
     stacked = IntMatrix.hstack(h.matrix, h.target.relations)
-    kb = kernel_basis(stacked)
-    generators = kb.top_rows(h.source.ambient_rank)
-    return column_span_basis(generators)
+    s = smith_normal_form(stacked)
+    generators = s.v.columns(range(s.rank, stacked.cols)).top_rows(h.source.ambient_rank)
+    g = smith_normal_form(generators)  # a basis of the span of the generators
+    return IntMatrix.from_columns(
+        [[g.diagonal[j] * x for x in g.u_inv.col(j)] for j in range(g.rank)],
+        rows=generators.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -758,9 +748,11 @@ class HomologyResult:
     ``lift`` column i is an element of the middle group's ambient lattice
     representing canonical generator i (torsion generators first, in chain
     order, then free ones).  Enough of the change of basis is retained to
-    express further ambient kernel elements in these generators.  The kernel
-    lattice behind ``kernel_lattice_basis``, ``lift`` and ``express`` is built
-    on first use when the group was read from Smith diagonals alone.
+    express further ambient kernel elements in these generators.  ``group``
+    is read from Smith diagonals alone; the kernel lattice behind
+    ``kernel_lattice_basis``, ``lift`` and ``express`` is built on first use,
+    and building it re-derives the group and raises RuntimeError if the two
+    disagree.
     """
 
     group: FgAbGroup
@@ -820,57 +812,63 @@ def _lattice_homology(boundary_in: IntMatrix, middle: FgAbGroup, d_out: GroupHom
     return group, _LatticeData(lattice, lattice_snf, lift, s.u, diag, tuple(kept))
 
 
-def _uniform_modulus(g: FgAbGroup):
-    """m when every coordinate of g has modulus m (0 when g is free); else None."""
-    moduli = set(g.moduli)
-    if len(moduli) > 1:
-        return None
-    return moduli.pop() if moduli else 0
+def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix) -> FgAbGroup:
+    """The homology group of S -A-> M -B-> N from bounded Smith diagonals;
+    ``composite`` is the matrix of B A.
 
+    With M = Z^n / diag(mu), N = Z^m / diag(nu), their relation columns R_M
+    and R_N, and T the coordinates with nu_i != 0, the cell has the homology
+    of the free complex
 
-def _diagonal_homology(d_in: GroupHom, d_out: GroupHom):
-    """The homology group from the Smith diagonals of the two boundaries, or
-    None when the middle group is not of a form where they suffice.
+        [[A, R_M], [-(B A)_T / nu_T, -(B R_M)_T / nu_T]]  then  [B | R_N],
 
-    If the middle and the target of d_out are free, ker d_out is saturated,
-    so the torsion is the diagonal of d_in and the free rank is
-    n - rk d_out - rk d_in.  If both are Z^n / 2Z^n (as in real degree 1, and
-    in degree 2 when no vertex is paired), the complex is one of
-    F_2-vector spaces and the same count, with ranks taken mod 2, gives the
-    dimension of the homology.
+    whose divisions are exact since B A and B R_M vanish in N.  Projecting
+    ker [B | R_N] to its first n coordinates is injective (the columns of R_N
+    are independent), with image the kernel lattice {x : Bx in span R_N};
+    the first map covers im A + im R_M.  A kernel of free modules is
+    saturated, so the torsion is the Smith diagonal of the first map and the
+    free rank is n + |T| - rk [B | R_N] - rk(first map), where
+    rk [B | R_N] = |T| + rk(rows of B outside T).  Free M and N leave A and
+    B, whose diagonals the boundaries keep.  Z_2^n middles with Z_2^m targets
+    (real degree 1, and 2 when no vertex is paired) form a complex of
+    F_2-vector spaces, counted from the same two diagonals mod 2.
     """
-    m = _uniform_modulus(d_in.target)
-    if m not in (0, 2):
-        return None
-    if d_out.target.ambient_rank and _uniform_modulus(d_out.target) != m:
-        return None
+    middle, target = set(d_in.target.moduli), set(d_out.target.moduli)
     n = d_in.target.ambient_rank
-    diag_in, diag_out = d_in.smith_diagonal, d_out.smith_diagonal
-    if m == 0:
-        rank = n - sum(1 for e in diag_out + diag_in if e)
-        return FgAbGroup.from_invariants([e for e in diag_in if e >= 2], rank)
-    dim = n - sum(1 for e in diag_out + diag_in if e % m)
-    return FgAbGroup.from_invariants([m] * dim)
+    if middle == {2} and target <= {2}:
+        dim = n - sum(1 for e in d_out.smith_diagonal + d_in.smith_diagonal if e % 2)
+        return FgAbGroup.from_invariants([2] * dim)
+    if middle | target <= {0}:
+        diag_in, rank_out = d_in.smith_diagonal, sum(1 for e in d_out.smith_diagonal if e)
+    else:
+        mu, nu, b = d_in.target.moduli, d_out.target.moduli, d_out.matrix.data
+        kept = [j for j in range(n) if mu[j]]
+        rows = [row + tuple(mu[i] if i == j else 0 for j in kept)
+                for i, row in enumerate(d_in.matrix.data)]
+        rows += [[-x // nu[i] for x in composite.data[i]] + [-b[i][j] * mu[j] // nu[i] for j in kept]
+                 for i in range(len(nu)) if nu[i]]
+        diag_in = smith_diagonal(IntMatrix(len(rows), d_in.matrix.cols + len(kept), rows))
+        outside = [b[i] for i in range(len(nu)) if not nu[i]]
+        rank_out = _rank_and_minor(IntMatrix(len(outside), n, outside))[0]
+    rank = n - rank_out - sum(1 for e in diag_in if e)
+    return FgAbGroup.from_invariants([e for e in diag_in if e >= 2], rank)
 
 
 def homology(d_in: GroupHom, d_out: GroupHom) -> HomologyResult:
     """Homology at the middle of ``. -> middle -> .`` with generator lifts.
 
     Raises CompositionNotZero unless d_out o d_in vanishes as a map of
-    presented groups.  Free and elementary middles are read from Smith
-    diagonals and build their kernel lattice only when a lift is asked for.
+    presented groups.  The group is read from Smith diagonals with bounded
+    entries (``_diagonal_homology``); the kernel lattice and the lifts are
+    built only when asked for.
     """
     if not same_presentation(d_in.target, d_out.source):
         raise ValueError("middle groups of the two boundary maps differ")
-    if not (d_out @ d_in).is_zero():
+    composite = d_out @ d_in
+    if not composite.is_zero():
         raise CompositionNotZero("boundary maps do not compose to zero")
-    group = _diagonal_homology(d_in, d_out)
-    if group is not None:
-        return HomologyResult(group, d_in.target, d_in.matrix, d_out)
-    group, data = _lattice_homology(d_in.matrix, d_in.target, d_out)
-    result = HomologyResult(group, d_in.target, d_in.matrix, d_out)
-    vars(result)["_lattice"] = data  # already built: fill the cached property
-    return result
+    group = _diagonal_homology(d_in, d_out, composite.matrix)
+    return HomologyResult(group, d_in.target, d_in.matrix, d_out)
 
 
 def induced_hom(f: GroupHom, h_src: HomologyResult, h_tgt: HomologyResult) -> GroupHom:

@@ -11,7 +11,8 @@ complex, are written out here for the tests that pin down the structure the
 library builds on.  ``group_from_presentation`` and ``in_span`` read a
 group and a span from a general relations matrix by Smith normal form: the
 oracles for the library's groups, which are held as one modulus per
-coordinate.
+coordinate.  ``kernel_basis`` and ``column_span_basis`` are the two steps
+of ``kernel_lattice``, written out on their own.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from kktheory.abelian import (
     IntMatrix,
     abelian_groups_of_order,
     smith_diagonal,
+    smith_normal_form,
     solve_in_span,
     trivial_group,
 )
@@ -300,6 +302,20 @@ def group_from_presentation(relations: IntMatrix) -> FgAbGroup:
 def in_span(a: IntMatrix, b: IntMatrix) -> bool:
     """Does every column of ``b`` lie in the integer column span of ``a``?"""
     return solve_in_span(a, b) is not None
+
+
+def kernel_basis(a: IntMatrix) -> IntMatrix:
+    """Columns form a basis of the integer null space of ``a``."""
+    s = smith_normal_form(a)
+    return s.v.columns(range(s.rank, a.cols))
+
+
+def column_span_basis(a: IntMatrix) -> IntMatrix:
+    """Columns form a basis of the lattice spanned by the columns of ``a``."""
+    s = smith_normal_form(a)
+    diag = s.diagonal
+    cols = [tuple(diag[j] * x for x in s.u_inv.col(j)) for j in range(s.rank)]
+    return IntMatrix.from_columns(cols, rows=a.rows)
 
 
 # ---------------------------------------------------------------------------

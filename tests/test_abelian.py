@@ -21,9 +21,7 @@ from kktheory.abelian import (
     homology,
     identity_hom,
     induced_hom,
-    kernel_basis,
     kernel_lattice,
-    column_span_basis,
     same_presentation,
     smith_diagonal,
     smith_normal_form,
@@ -40,11 +38,13 @@ from kktheory.koszul import build_complex
 from kktheory.spectral import compute_e2
 
 from helpers import (
+    column_span_basis,
     determinant,
     extension_candidates_by_homs,
     group_from_presentation,
     hadamard_bound_squared,
     in_span,
+    kernel_basis,
     oracle_homology_invariants,
     planted_matrix,
     random_finite_complex,
@@ -197,6 +197,9 @@ def test_kernel_and_span_helpers():
     assert (m @ kb).is_zero()
     basis = column_span_basis(m)
     assert in_span(basis, m) and in_span(m, basis)
+    h = GroupHom(free_group(2), cyclic_group(6), IntMatrix.from_rows([[2, 4]]))
+    stacked = IntMatrix.hstack(h.matrix, h.target.relations)
+    assert kernel_lattice(h) == column_span_basis(kernel_basis(stacked).top_rows(2))
     assert solve_in_span(m, IntMatrix.column([2, 1])) is not None
     assert solve_in_span(m, IntMatrix.column([1, 0])) is None
 
@@ -398,32 +401,41 @@ def test_homology_lift_round_trip_mixed_torsion():
         assert coords == tuple(1 if j == i else 0 for j in range(h.lift.cols))
 
 
+def cell_kind(d_in, d_out):
+    """How ``_diagonal_homology`` reads the cell: free middle and target,
+    a Z_2^n middle with a Z_2^m (or no) target, or the augmented complex."""
+    middle, target = set(d_in.target.moduli), set(d_out.target.moduli)
+    if middle <= {0} and target <= {0}:
+        return "free"
+    return "elementary" if middle == {2} and target <= {2} else "mixed"
+
+
 def test_diagonal_cells_match_the_lattice_path():
-    """Every cell read from Smith diagonals (free or F_p middle) has the group
-    the kernel lattice gives, and its lazily built lifts round-trip."""
+    """Every cell, whether its middle and target are free, Z_2^n or mixed,
+    has the group the kernel lattice gives, and its lazily built lifts
+    round-trip."""
     rng = random.Random(2718)
-    read = {"free": 0, "elementary": 0}
+    read = {"free": 0, "elementary": 0, "mixed": 0}
     for _ in range(12):
         page = compute_e2(random_valid_spec(rng))
         for cx in page.complexes.values():
             for p in range(cx.k + 1):
                 d_in, d_out = cx.boundary(p + 1), cx.boundary(p)
-                if _diagonal_homology(d_in, d_out) is None:
-                    continue
-                read["elementary" if d_in.target.relations.cols else "free"] += 1
+                read[cell_kind(d_in, d_out)] += 1
+                group = _diagonal_homology(d_in, d_out, (d_out @ d_in).matrix)
                 h = homology(d_in, d_out)
-                group, _ = _lattice_homology(d_in.matrix, d_in.target, d_out)
                 assert group == h.group
+                assert _lattice_homology(d_in.matrix, d_in.target, d_out)[0] == group
                 n = h.lift.cols
                 assert n == h.group.generator_count()
                 for i in range(n):
                     assert h.express(h.lift.col(i)) == tuple(int(j == i) for j in range(n))
-    assert read["free"] and read["elementary"]
+    assert read["free"] and read["elementary"] and read["mixed"]
 
 
 def test_elementary_middles_match_the_element_oracle():
     """Z_p^n middles, with boundary entries left unreduced (so Smith diagonals
-    carry nonzero multiples of p); Z_2^n middles are read from diagonals."""
+    carry nonzero multiples of p); every one is read from diagonals."""
     rng = random.Random(1618)
     for _ in range(40):
         p = rng.choice([2, 3, 5])
@@ -437,12 +449,13 @@ def test_elementary_middles_match_the_element_oracle():
         d_in = GroupHom(free_group(len(cols)), middle,
                         IntMatrix.from_columns(cols, rows=n))
         d_out = GroupHom(middle, FgAbGroup.from_invariants([p] * m), IntMatrix(m, n, a))
-        assert (_diagonal_homology(d_in, d_out) is not None) == (p == 2)
+        group = _diagonal_homology(d_in, d_out, (d_out @ d_in).matrix)
         h = homology(d_in, d_out)
         f_rows = [[c[i] for c in cols] for i in range(n)]
-        assert h.group.invariant_factors == oracle_homology_invariants(
+        assert group == h.group
+        assert group.invariant_factors == oracle_homology_invariants(
             f_rows, [p] * n, a, [p] * m)
-        assert h.group.free_rank == 0
+        assert group.free_rank == 0
 
 
 def test_lazy_lattice_rejects_a_wrong_diagonal_group():

@@ -190,6 +190,19 @@ def test_text_output_matches_golden_snapshot(tmp_path):
     assert out == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", ["three_vertex_symmetric_n2", "three_vertex_asymmetric_n4"])
+@pytest.mark.parametrize("snapshot, flags", [
+    ("txt", []),
+    ("emit.json", ["--format", "json", "--emit-intermediate", "--emit-lifts"]),
+])
+def test_sample_outputs_match_golden_snapshots(name, snapshot, flags):
+    here = pathlib.Path(__file__).parent
+    path = here.parent / "sample_inputs" / f"{name}.json"
+    code, out, err = run_cli(["compute", str(path)] + flags)
+    assert code == 0 and err == ""
+    assert out == (here / "data" / f"{name}.{snapshot}").read_text(encoding="utf-8")
+
+
 def test_render_text_matches_analyze(tmp_path):
     path = write_input(tmp_path, "ov.json", one_vertex_doc(3, 3))
     spec = load_spec(path)
@@ -268,6 +281,22 @@ def test_runs_keep_no_state(tmp_path, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
     assert runs[0] == runs[1]
     assert all(runs[0][1].values())
+
+
+def test_a_text_run_builds_no_lattice_where_no_lift_is_read(tmp_path, monkeypatch):
+    # every E2 group, mixed-torsion cells included, comes from Smith
+    # diagonals; this input (benchmark input (4, 6, 13), whose real degree 2
+    # cells mix Z and Z_2 coordinates) has KU = 0, so psi reads no kernel
+    # lattice either
+    def refuse(m):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(abelian, "smith_normal_form", refuse)
+    spec = random_valid_spec(random.Random(13), 4, 6)
+    path = write_input(tmp_path, "lattice.json", spec_doc(spec))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(JobConfig(input_path=path), stdout=out, stderr=err) == 0, err.getvalue()
+    assert err.getvalue() == ""
 
 
 def swap_doc(**fields):
