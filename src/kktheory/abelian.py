@@ -80,28 +80,12 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @staticmethod
-    def from_rows(rows):
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return IntMatrix(len(rows), ncols, rows)
-
-    @staticmethod
     def identity(n):
         return IntMatrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zeros(rows, cols):
         return IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
-
-    @staticmethod
-    def diagonal(values, rows=None, cols=None):
-        values = list(values)
-        rows = len(values) if rows is None else rows
-        cols = len(values) if cols is None else cols
-        m = [[0] * cols for _ in range(rows)]
-        for i, v in enumerate(values):
-            m[i][i] = v
-        return IntMatrix(rows, cols, m)
 
     @staticmethod
     def column(values):
@@ -157,17 +141,22 @@ class IntMatrix:
     def top_rows(self, n):
         return IntMatrix(n, self.cols, self.data[:n])
 
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [self.col(j) for j in range(self.cols)])
-
     def __matmul__(self, other):
+        """The exact product, summed over nonzero entries only: each row of
+        ``self`` adds ``a`` times row r of ``other`` for every nonzero entry
+        ``a`` in column r, touching only the nonzero entries of that row."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        ot = other.transpose().data
-        return IntMatrix(self.rows, other.cols,
-                         [[sum(a * b for a, b in zip(row, c)) for c in ot]
-                          for row in self.data])
+        sparse = [[(j, y) for j, y in enumerate(row) if y] for row in other.data]
+        out = []
+        for row in self.data:
+            acc = [0] * other.cols
+            for a, terms in zip(row, sparse):
+                if a:
+                    for j, y in terms:
+                        acc[j] += a * y
+            out.append(acc)
+        return IntMatrix(self.rows, other.cols, out)
 
     def apply(self, vec):
         vec = tuple(vec)
@@ -223,7 +212,7 @@ class SnfDecomposition:
     """u @ m @ v == d; u, v unimodular; d diagonal, nonnegative, d_i | d_{i+1}.
 
     ``diagonal`` holds the min(rows, cols) diagonal entries of d and ``shape``
-    the shape of m; ``d`` itself is rebuilt from them on demand.  ``u_inv`` is
+    the shape of m.  ``u_inv`` is
     tracked alongside because image bases and generator lifts need it.  A
     caller that solves against the same m more than once keeps this object
     and calls ``solve`` on it.
@@ -234,10 +223,6 @@ class SnfDecomposition:
     u: IntMatrix
     v: IntMatrix
     u_inv: IntMatrix
-
-    @property
-    def d(self) -> IntMatrix:
-        return IntMatrix.diagonal(self.diagonal, *self.shape)
 
     @property
     def rank(self):
@@ -505,11 +490,6 @@ def _divisibility_chain(values):
     return chain
 
 
-def solve_in_span(a: IntMatrix, b: IntMatrix):
-    """Solve ``a @ x == b`` over the integers (see ``SnfDecomposition.solve``)."""
-    return smith_normal_form(a).solve(b)
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
@@ -597,24 +577,6 @@ class FgAbGroup:
         """Group with one generator per cyclic factor, then ``free_rank`` free ones."""
         return FgAbGroup(tuple(int(d) for d in factors) + (0,) * free_rank)
 
-    @staticmethod
-    def from_description(text: str) -> "FgAbGroup":
-        """Parse the output of ``describe`` (also accepts unsorted factors)."""
-        text = text.strip()
-        if text == "0":
-            return trivial_group()
-        factors = []
-        free = 0
-        for token in text.split("+"):
-            token = token.strip()
-            if token == "Z":
-                free += 1
-            elif token.startswith("Z_"):
-                factors.append(int(token[2:]))
-            else:
-                raise ValueError(f"cannot parse group token {token!r}")
-        return FgAbGroup.from_invariants(factors, free)
-
 
 def free_group(n: int) -> FgAbGroup:
     return FgAbGroup((0,) * n)
@@ -622,12 +584,6 @@ def free_group(n: int) -> FgAbGroup:
 
 def trivial_group() -> FgAbGroup:
     return free_group(0)
-
-
-def cyclic_group(n: int) -> FgAbGroup:
-    if n == 0:
-        return free_group(1)
-    return FgAbGroup.from_invariants([n])
 
 
 def direct_sum(*groups) -> FgAbGroup:
@@ -691,17 +647,8 @@ class GroupHom:
         """The Smith diagonal of the matrix, computed on first use."""
         return smith_diagonal(self.matrix)
 
-    def equals(self, other: "GroupHom") -> bool:
-        return (same_presentation(self.source, other.source)
-                and same_presentation(self.target, other.target)
-                and _vanishes_in(self.target, (self.matrix - other.matrix).data))
-
     def __repr__(self):
         return f"GroupHom({self.source.describe()} -> {self.target.describe()})"
-
-
-def identity_hom(g: FgAbGroup) -> GroupHom:
-    return GroupHom(g, g, IntMatrix.identity(g.ambient_rank))
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:

@@ -5,9 +5,11 @@ sum of one copy of A over every strictly increasing p-tuple of colors, and
 the boundary block from tuple mu to the tuple with mu_i removed is
 (-1)^(i+1) rho^{mu_i}.  For k = 1, 2, 3 this reproduces the familiar
 two/three/four column complexes; for larger k the same block formula is used.
-Nothing is checked at build time: ``abelian.homology`` refuses any adjacent
-boundary pair that does not compose to zero, and the E2 page takes the
-homology at every position.
+Column block mu of a boundary thus holds only |mu| nonzero blocks, and each
+boundary is laid out row by row from those signed rho blocks into
+preallocated zero rows.  Nothing is checked at build time:
+``abelian.homology`` refuses any adjacent boundary pair that does not
+compose to zero, and the E2 page takes the homology at every position.
 """
 
 from __future__ import annotations
@@ -55,7 +57,13 @@ def build_complex(spec: KGraphSpec, degree: int, part: str,
                   partition: VertexPartition | None = None,
                   graded: GradedGroupA | None = None,
                   rhos: tuple | None = None) -> GradedChainComplex:
-    """Assemble the complex for one degree of one part from the rho maps."""
+    """The complex for one degree of one part, laid out from the rho maps.
+
+    Each boundary starts as zero rows; every signed ``rho`` row is written
+    straight into its slot, so column block mu gets its |mu| nonzero blocks
+    and no zero block is built.  Nothing is checked here (see the module
+    docstring).
+    """
     if part not in ("real", "complex"):
         raise ValueError(f"unknown part {part!r}")
     if partition is None:
@@ -67,26 +75,27 @@ def build_complex(spec: KGraphSpec, degree: int, part: str,
     k = spec.k
     aj = graded.group(part, degree)
     n = aj.ambient_rank
-    rho_mats = {c: rhos[c - 1].hom(part, degree).matrix for c in range(1, k + 1)}
 
     groups = []
     for p in range(k + 1):
         copies = len(index_tuples(k, p))
         groups.append(direct_sum(*([aj] * copies)) if copies else trivial_group())
 
+    # the rows of (-1)^i rho^c for even and for odd i
+    signed = {c: (m.data, [[-x for x in row] for row in m.data])
+              for c, m in enumerate((rho.hom(part, degree).matrix for rho in rhos), start=1)}
+
     boundaries = []
     for p in range(1, k + 1):
-        lower = index_tuples(k, p - 1)
+        position = {lam: a for a, lam in enumerate(index_tuples(k, p - 1))}
         upper = index_tuples(k, p)
-        position = {lam: a for a, lam in enumerate(lower)}
-        grid = [[IntMatrix.zeros(n, n) for _ in upper] for _ in lower]
+        rows = [[0] * (n * len(upper)) for _ in range(n * len(position))]
         for b, mu in enumerate(upper):
             for i, color in enumerate(mu):
-                lam = mu[:i] + mu[i + 1:]
-                block = rho_mats[color] if i % 2 == 0 else -rho_mats[color]
-                grid[position[lam]][b] = block
-        mat = IntMatrix.assemble(grid) if lower and upper else \
-            IntMatrix.zeros(groups[p - 1].ambient_rank, groups[p].ambient_rank)
+                a = position[mu[:i] + mu[i + 1:]]
+                for r, row in enumerate(signed[color][i % 2]):
+                    rows[a * n + r][b * n:(b + 1) * n] = row
+        mat = IntMatrix(len(rows), n * len(upper), rows)
         boundaries.append(GroupHom(groups[p], groups[p - 1], mat))
 
     return GradedChainComplex(part=part, degree=degree, k=k,

@@ -12,7 +12,12 @@ library builds on.  ``group_from_presentation`` and ``in_span`` read a
 group and a span from a general relations matrix by Smith normal form: the
 oracles for the library's groups, which are held as one modulus per
 coordinate.  ``kernel_basis`` and ``column_span_basis`` are the two steps
-of ``kernel_lattice``, written out on their own.
+of ``kernel_lattice``, written out on their own.  ``dense_matmul`` (every
+row against every column) and ``dense_koszul_boundaries`` (a full grid of
+n x n blocks, zero blocks included) are the oracles for the library's
+product over nonzero entries and its row-by-row boundary layout.  Matrix,
+group and hom constructors that no calculator code needs (``from_rows``,
+``transpose``, ``cyclic_group``, ``identity_hom``, ...) live here too.
 """
 
 from dataclasses import dataclass
@@ -23,15 +28,107 @@ from kktheory.abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    SnfDecomposition,
     abelian_groups_of_order,
+    free_group,
+    same_presentation,
     smith_diagonal,
     smith_normal_form,
-    solve_in_span,
     trivial_group,
 )
-from kktheory.kgraph import KGraphSpec, VertexPartition
-from kktheory.koszul import GradedChainComplex
+from kktheory.crmodule import build_graded_group, build_rho
+from kktheory.kgraph import KGraphSpec, VertexPartition, validate
+from kktheory.koszul import GradedChainComplex, index_tuples
 from kktheory.spectral import _arrow_fact_ok, _core_cycle
+
+
+# ---------------------------------------------------------------------------
+# Constructors and comparisons that only tests use
+# ---------------------------------------------------------------------------
+
+def from_rows(rows) -> IntMatrix:
+    """The matrix with the given rows (0 x 0 for no rows)."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    return IntMatrix(len(rows), ncols, rows)
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.cols, m.rows, [m.col(j) for j in range(m.cols)])
+
+
+def diagonal_matrix(values, rows=None, cols=None) -> IntMatrix:
+    """The rows x cols matrix (square by default) with ``values`` down its
+    diagonal."""
+    values = list(values)
+    rows = len(values) if rows is None else rows
+    cols = len(values) if cols is None else cols
+    m = [[0] * cols for _ in range(rows)]
+    for i, v in enumerate(values):
+        m[i][i] = v
+    return IntMatrix(rows, cols, m)
+
+
+def snf_d(s: SnfDecomposition) -> IntMatrix:
+    """The diagonal matrix d of ``u @ m @ v == d``."""
+    return diagonal_matrix(s.diagonal, *s.shape)
+
+
+def solve_in_span(a: IntMatrix, b: IntMatrix):
+    """Solve ``a @ x == b`` over the integers (see ``SnfDecomposition.solve``)."""
+    return smith_normal_form(a).solve(b)
+
+
+def cyclic_group(n: int) -> FgAbGroup:
+    return free_group(1) if n == 0 else FgAbGroup.from_invariants([n])
+
+
+def identity_hom(g: FgAbGroup) -> GroupHom:
+    return GroupHom(g, g, IntMatrix.identity(g.ambient_rank))
+
+
+def hom_equals(f: GroupHom, g: GroupHom) -> bool:
+    """Same endpoints, and the two matrices agree modulo the target relations."""
+    return (same_presentation(f.source, g.source)
+            and same_presentation(f.target, g.target)
+            and (f + (-g)).is_zero())
+
+
+# ---------------------------------------------------------------------------
+# Dense oracles for the matrix product and the Koszul boundaries
+# ---------------------------------------------------------------------------
+
+def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product as a dot product of every row of ``a`` with every column
+    of ``b``, zeros included."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
+    bt = transpose(b).data
+    return IntMatrix(a.rows, b.cols,
+                     [[sum(x * y for x, y in zip(row, c)) for c in bt]
+                      for row in a.data])
+
+
+def dense_koszul_boundaries(spec: KGraphSpec, degree: int, part: str) -> list:
+    """The boundary matrices of one degree of one part, assembled as a full
+    grid of n x n blocks: a zero block everywhere, then (-1)^i rho^{mu_i}
+    (i counted from 0) from tuple mu to mu with mu_i removed."""
+    partition = validate(spec)
+    graded = build_graded_group(partition)
+    k = spec.k
+    n = graded.group(part, degree).ambient_rank
+    rho = {c: build_rho(spec, c, partition, graded).hom(part, degree).matrix
+           for c in range(1, k + 1)}
+    out = []
+    for p in range(1, k + 1):
+        lower, upper = index_tuples(k, p - 1), index_tuples(k, p)
+        grid = [[IntMatrix.zeros(n, n) for _ in upper] for _ in lower]
+        for b, mu in enumerate(upper):
+            for i, color in enumerate(mu):
+                grid[lower.index(mu[:i] + mu[i + 1:])][b] = \
+                    rho[color] if i % 2 == 0 else -rho[color]
+        out.append(IntMatrix.assemble(grid))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +381,20 @@ def core_table_consistent(mo_ranks, mu_ranks):
 
 
 def group_of(desc: str) -> FgAbGroup:
-    return FgAbGroup.from_description(desc)
+    """Parse a rendered group ("0", "Z", "Z_2 + Z_4 + Z"; factors in any order)."""
+    desc = desc.strip()
+    if desc == "0":
+        return trivial_group()
+    factors, free = [], 0
+    for token in desc.split("+"):
+        token = token.strip()
+        if token == "Z":
+            free += 1
+        elif token.startswith("Z_"):
+            factors.append(int(token[2:]))
+        else:
+            raise ValueError(f"cannot parse group token {token!r}")
+    return FgAbGroup.from_invariants(factors, free)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +469,7 @@ def hadamard_bound_squared(m: IntMatrix) -> int:
         for vec in vectors:
             out *= max(1, sum(x * x for x in vec))
         return out
-    return min(product_of_norms(m.data), product_of_norms(m.transpose().data))
+    return min(product_of_norms(m.data), product_of_norms(transpose(m).data))
 
 
 def planted_matrix(rows, cols, factors, ops) -> IntMatrix:
@@ -399,7 +509,7 @@ def _homs_between(a, b):
 def _cokernels(sub: FgAbGroup, g: FgAbGroup):
     """The cokernel of every homomorphism sub -> g, one per hom."""
     b = g.invariant_factors
-    diag_b = IntMatrix.diagonal(list(b), rows=len(b), cols=len(b))
+    diag_b = diagonal_matrix(b)
     for hom in _homs_between(sub.invariant_factors, b):
         yield hom, group_from_presentation(IntMatrix.hstack(hom, diag_b))
 

@@ -14,18 +14,15 @@ from kktheory.abelian import (
     NotChainMap,
     NotWellDefined,
     abelian_groups_of_order,
-    cyclic_group,
     direct_sum,
     extension_candidates,
     free_group,
     homology,
-    identity_hom,
     induced_hom,
     kernel_lattice,
     same_presentation,
     smith_diagonal,
     smith_normal_form,
-    solve_in_span,
     trivial_group,
     zero_hom,
 )
@@ -39,21 +36,30 @@ from kktheory.spectral import compute_e2
 
 from helpers import (
     column_span_basis,
+    cyclic_group,
     determinant,
+    diagonal_matrix,
     extension_candidates_by_homs,
+    from_rows,
     group_from_presentation,
+    group_of,
     hadamard_bound_squared,
+    hom_equals,
+    identity_hom,
     in_span,
     kernel_basis,
     oracle_homology_invariants,
     planted_matrix,
     random_finite_complex,
     random_valid_spec,
+    snf_d,
+    solve_in_span,
+    transpose,
 )
 
 
 def symmetric_b(n):
-    return IntMatrix.from_rows([[0, -1, -1], [-1, 1, 1 - n], [-1, 1 - n, 1]])
+    return from_rows([[0, -1, -1], [-1, 1, 1 - n], [-1, 1 - n, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +69,13 @@ def symmetric_b(n):
 def test_snf_three_vertex_matrix():
     s = smith_normal_form(symmetric_b(2))
     assert s.diagonal == (1, 1, 4)
-    assert s.u @ symmetric_b(2) @ s.v == s.d
+    assert s.u @ symmetric_b(2) @ s.v == snf_d(s)
 
 
 def test_snf_zero_matrix():
     z = IntMatrix.zeros(2, 2)
     s = smith_normal_form(z)
-    assert s.d == z
+    assert snf_d(s) == z
     assert s.u == IntMatrix.identity(2)
     assert s.v == IntMatrix.identity(2)
 
@@ -77,16 +83,16 @@ def test_snf_zero_matrix():
 def test_snf_stacked_pair():
     n = 3
     b1 = symmetric_b(n)
-    b2 = IntMatrix.from_rows([[0, -1, -1], [-1, 2 - n, 0], [-1, 0, 2 - n]])
+    b2 = from_rows([[0, -1, -1], [-1, 2 - n, 0], [-1, 0, 2 - n]])
     s = smith_normal_form(IntMatrix.hstack(b1, b2))
-    assert s.d == IntMatrix.diagonal([1, 1, 2], rows=3, cols=6)
+    assert snf_d(s) == diagonal_matrix([1, 1, 2], rows=3, cols=6)
 
 
 def test_snf_empty_shapes():
     for shape in [(0, 0), (0, 3), (3, 0)]:
         m = IntMatrix.zeros(*shape)
         s = smith_normal_form(m)
-        assert s.u @ m @ s.v == s.d
+        assert s.u @ m @ s.v == snf_d(s)
 
 
 def test_snf_random_properties():
@@ -96,7 +102,7 @@ def test_snf_random_properties():
         m = IntMatrix(rows, cols,
                       [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)])
         s = smith_normal_form(m)
-        assert s.u @ m @ s.v == s.d
+        assert s.u @ m @ s.v == snf_d(s)
         assert abs(determinant(s.u)) == 1
         assert abs(determinant(s.v)) == 1
         assert s.u @ s.u_inv == IntMatrix.identity(rows)
@@ -144,7 +150,7 @@ def test_diagonal_only_snf_matches_full_decomposition():
         ([[0, 0], [0, 0], [0, -9]], (9, 0)),
     ]
     for rows, expected in cases:
-        m = IntMatrix.from_rows(rows)
+        m = from_rows(rows)
         bare = smith_diagonal(m)
         assert bare == smith_normal_form(m).diagonal
         assert expected is None or bare == expected
@@ -171,7 +177,7 @@ def test_diagonal_only_snf_on_every_scan_boundary():
     for m, name in scan_boundaries().items():
         # the oracle runs the integer loop on the taller orientation, where
         # its own coefficient growth stays small on these matrices
-        oracle = smith_normal_form(m if m.rows >= m.cols else m.transpose())
+        oracle = smith_normal_form(m if m.rows >= m.cols else transpose(m))
         assert smith_diagonal(m) == oracle.diagonal, name
         rank, minor = _rank_and_minor(m)
         assert rank == oracle.rank, name
@@ -182,7 +188,7 @@ def test_matrix_shape_checks_and_immutability():
     with pytest.raises(ValueError):
         IntMatrix(2, 2, [[1, 2], [3]])
     with pytest.raises(ValueError):
-        IntMatrix.from_rows([[1, 2]]) @ IntMatrix.from_rows([[1, 2]])
+        from_rows([[1, 2]]) @ from_rows([[1, 2]])
     m = IntMatrix.identity(2)
     with pytest.raises(AttributeError):
         m.rows = 3
@@ -191,13 +197,13 @@ def test_matrix_shape_checks_and_immutability():
 
 
 def test_kernel_and_span_helpers():
-    m = IntMatrix.from_rows([[2, 4], [1, 2]])
+    m = from_rows([[2, 4], [1, 2]])
     kb = kernel_basis(m)
     assert kb.cols == 1
     assert (m @ kb).is_zero()
     basis = column_span_basis(m)
     assert in_span(basis, m) and in_span(m, basis)
-    h = GroupHom(free_group(2), cyclic_group(6), IntMatrix.from_rows([[2, 4]]))
+    h = GroupHom(free_group(2), cyclic_group(6), from_rows([[2, 4]]))
     stacked = IntMatrix.hstack(h.matrix, h.target.relations)
     assert kernel_lattice(h) == column_span_basis(kernel_basis(stacked).top_rows(2))
     assert solve_in_span(m, IntMatrix.column([2, 1])) is not None
@@ -220,16 +226,16 @@ def test_group_free_of_rank_three():
 
 
 def test_group_already_diagonal():
-    g = group_from_presentation(IntMatrix.diagonal([2, 2, 6]))
+    g = group_from_presentation(diagonal_matrix([2, 2, 6]))
     assert g.invariant_factors == (2, 2, 6)
 
 
 def test_group_equality_is_isomorphism():
-    a = group_from_presentation(IntMatrix.diagonal([2, 3]))
+    a = group_from_presentation(diagonal_matrix([2, 3]))
     assert a == cyclic_group(6)
     assert a != cyclic_group(12)
-    assert FgAbGroup.from_description("Z_2 + Z_4 + Z") == \
-        group_from_presentation(IntMatrix.from_rows([[2, 0], [0, 4], [0, 0]]))
+    assert group_of("Z_2 + Z_4 + Z") == \
+        group_from_presentation(from_rows([[2, 0], [0, 4], [0, 0]]))
 
 
 def test_presentation_invariance_under_column_operations():
@@ -250,7 +256,7 @@ def test_relations_are_one_column_per_nonzero_modulus():
     # the lattice path and the emitted lifts depend on this exact layout
     g = FgAbGroup.from_invariants([2, 1, 3], 2)
     assert g.moduli == (2, 1, 3, 0, 0)
-    assert g.relations == IntMatrix.diagonal([2, 1, 3], rows=5, cols=3)
+    assert g.relations == diagonal_matrix([2, 1, 3], rows=5, cols=3)
     assert FgAbGroup((2, 0, 3)).relations == \
         IntMatrix.from_columns([[2, 0, 0], [0, 0, 3]], rows=3)
     assert free_group(3).relations == IntMatrix.zeros(3, 0)
@@ -278,16 +284,16 @@ def test_groups_and_homs_need_no_smith_form(monkeypatch):
                                     [0, 0, 1, 0, 0, 0]], rows=6)
     h = GroupHom(a, b, embed)
     assert not h.is_zero()
-    assert (h + (-h)).is_zero() and h.equals(h + h + (-h))
-    twice = GroupHom(cyclic_group(2), a, IntMatrix.from_rows([[0], [2], [0]]))
+    assert (h + (-h)).is_zero() and hom_equals(h, h + h + (-h))
+    twice = GroupHom(cyclic_group(2), a, from_rows([[0], [2], [0]]))
     assert not twice.is_zero() and GroupHom(cyclic_group(2), a, twice.matrix.scaled(2)).is_zero()
     with pytest.raises(NotWellDefined):
-        GroupHom(a, free_group(1), IntMatrix.from_rows([[1, 0, 0]]))
+        GroupHom(a, free_group(1), from_rows([[1, 0, 0]]))
 
 
 def test_describe_round_trip():
     for desc in ["0", "Z", "Z_2 + Z_4", "Z_2 + Z_6 + Z + Z"]:
-        assert FgAbGroup.from_description(desc).describe() == desc
+        assert group_of(desc).describe() == desc
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +304,15 @@ def test_hom_certificate_rejects_bad_map():
     z2 = cyclic_group(2)
     z = free_group(1)
     with pytest.raises(NotWellDefined):
-        GroupHom(z2, z, IntMatrix.from_rows([[1]]))
-    GroupHom(z, z2, IntMatrix.from_rows([[1]]))  # reduction is fine
+        GroupHom(z2, z, from_rows([[1]]))
+    GroupHom(z, z2, from_rows([[1]]))  # reduction is fine
 
 
 def test_kernel_lattice_of_doubled_map():
     b = symmetric_b(2)
     h = GroupHom(free_group(6), free_group(3), IntMatrix.hstack(b, b))
     lattice = kernel_lattice(h)
-    expected = IntMatrix.from_rows([
+    expected = from_rows([
         [1, 0, 0], [0, 1, 0], [0, 0, 1],
         [-1, 0, 0], [0, -1, 0], [0, 0, -1]])
     assert in_span(lattice, expected) and in_span(expected, lattice)
@@ -322,7 +328,7 @@ def test_kernel_lattice_identity_and_zero():
 
 
 def test_kernel_lattice_includes_torsion_directions():
-    h = GroupHom(free_group(1), cyclic_group(2), IntMatrix.from_rows([[1]]))
+    h = GroupHom(free_group(1), cyclic_group(2), from_rows([[1]]))
     lattice = kernel_lattice(h)
     assert in_span(lattice, IntMatrix.column([2]))
     assert not in_span(lattice, IntMatrix.column([1]))
@@ -334,9 +340,9 @@ def test_kernel_lattice_includes_torsion_directions():
 
 def one_vertex_complex(m, n):
     d2 = GroupHom(free_group(1), free_group(2),
-                  IntMatrix.from_rows([[m - 1], [1 - n]]))
+                  from_rows([[m - 1], [1 - n]]))
     d1 = GroupHom(free_group(2), free_group(1),
-                  IntMatrix.from_rows([[1 - n, 1 - m]]))
+                  from_rows([[1 - n, 1 - m]]))
     return d2, d1
 
 
@@ -362,10 +368,10 @@ def test_homology_middle_of_mixed_torsion_row():
     n = 3
     mixed = FgAbGroup.from_invariants([2], 1)       # Z_2 + Z
     middle = direct_sum(mixed, mixed)
-    rho = IntMatrix.from_rows([[0, 1], [0, -n], [0, -1], [0, n]])
+    rho = from_rows([[0, 1], [0, -n], [0, -1], [0, n]])
     d2 = GroupHom(mixed, middle, rho)
     d1 = GroupHom(middle, mixed,
-                  IntMatrix.from_rows([[0, 1, 0, 1], [0, n, 0, n]]))
+                  from_rows([[0, 1, 0, 1], [0, n, 0, n]]))
     h = homology(d2, d1)
     assert h.group == FgAbGroup.from_invariants([2, 2 * n])
 
@@ -373,8 +379,8 @@ def test_homology_middle_of_mixed_torsion_row():
 def test_homology_rejects_nonzero_composition():
     z = free_group(1)
     with pytest.raises(CompositionNotZero):
-        homology(GroupHom(z, z, IntMatrix.from_rows([[1]])),
-                 GroupHom(z, z, IntMatrix.from_rows([[1]])))
+        homology(GroupHom(z, z, from_rows([[1]])),
+                 GroupHom(z, z, from_rows([[1]])))
 
 
 def test_homology_lift_round_trip():
@@ -391,9 +397,9 @@ def test_homology_lift_round_trip_mixed_torsion():
     mixed = FgAbGroup.from_invariants([2], 1)
     middle = direct_sum(mixed, mixed)
     d2 = GroupHom(mixed, middle,
-                  IntMatrix.from_rows([[0, 1], [0, -n], [0, -1], [0, n]]))
+                  from_rows([[0, 1], [0, -n], [0, -1], [0, n]]))
     d1 = GroupHom(middle, mixed,
-                  IntMatrix.from_rows([[0, 1, 0, 1], [0, n, 0, n]]))
+                  from_rows([[0, 1, 0, 1], [0, n, 0, n]]))
     h = homology(d2, d1)
     assert h.group == FgAbGroup.from_invariants([2, 2 * n])
     for i in range(h.lift.cols):
@@ -460,7 +466,7 @@ def test_elementary_middles_match_the_element_oracle():
 
 def test_lazy_lattice_rejects_a_wrong_diagonal_group():
     z = free_group(1)
-    d_in = GroupHom(z, z, IntMatrix.from_rows([[2]]))
+    d_in = GroupHom(z, z, from_rows([[2]]))
     d_out = zero_hom(z, trivial_group())
     right = homology(d_in, d_out)
     assert right.group == cyclic_group(2)
@@ -486,7 +492,7 @@ def test_homology_matches_element_oracle():
 # ---------------------------------------------------------------------------
 
 def swap_last_two():
-    return IntMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    return from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
 
 def three_vertex_h0(n):
@@ -509,19 +515,19 @@ def test_induced_involution_is_minus_one():
 def test_induced_identity_is_identity():
     h0, middle = three_vertex_h0(3)
     ind = induced_hom(identity_hom(middle), h0, h0)
-    assert ind.equals(identity_hom(h0.group))
+    assert hom_equals(ind, identity_hom(h0.group))
 
 
 def test_induced_involution_trivial_on_two_torsion():
     n = 3
     b1 = symmetric_b(n)
-    b2 = IntMatrix.from_rows([[0, -1, -1], [-1, 2 - n, 0], [-1, 0, 2 - n]])
+    b2 = from_rows([[0, -1, -1], [-1, 2 - n, 0], [-1, 0, 2 - n]])
     middle = free_group(3)
     d_in = GroupHom(free_group(6), middle, IntMatrix.hstack(b1, b2))
     h0 = homology(d_in, zero_hom(middle, trivial_group()))
     assert h0.group == cyclic_group(2)
     ind = induced_hom(GroupHom(middle, middle, swap_last_two()), h0, h0)
-    assert ind.equals(identity_hom(h0.group))
+    assert hom_equals(ind, identity_hom(h0.group))
 
 
 def test_induced_respects_composition():
@@ -529,17 +535,17 @@ def test_induced_respects_composition():
     psi = GroupHom(middle, middle, swap_last_two())
     once = induced_hom(psi, h0, h0)
     twice = induced_hom(psi @ psi, h0, h0)
-    assert twice.equals(once @ once)
-    assert twice.equals(identity_hom(h0.group))
+    assert hom_equals(twice, once @ once)
+    assert hom_equals(twice, identity_hom(h0.group))
 
 
 def test_induced_rejects_non_chain_map():
     n = 2
     h0, middle = three_vertex_h0(n)
-    d1 = GroupHom(free_group(2), free_group(1), IntMatrix.from_rows([[2, 0]]))
+    d1 = GroupHom(free_group(2), free_group(1), from_rows([[2, 0]]))
     h_mid = homology(zero_hom(trivial_group(), free_group(2)), d1)
     bad = GroupHom(free_group(3), free_group(2),
-                   IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+                   from_rows([[1, 0, 0], [0, 1, 0]]))
     with pytest.raises(NotChainMap):
         induced_hom(bad, h0, h_mid)
 

@@ -18,7 +18,6 @@ import pytest
 from kktheory.abelian import (
     FgAbGroup,
     IntMatrix,
-    cyclic_group,
     smith_normal_form,
     trivial_group,
 )
@@ -38,16 +37,20 @@ from helpers import (
     CrBlockTables,
     asymmetric_three_vertex_spec,
     check_cr_relations,
-    complexification_degree0,
     complex_block_table,
+    complexification_degree0,
+    cyclic_group,
     determinant,
+    from_rows,
     one_vertex_spec,
     oracle_homology_invariants,
     random_finite_complex,
     random_valid_spec,
     real_block_table,
+    snf_d,
     standard_tables,
     symmetric_three_vertex_spec,
+    transpose,
 )
 
 Z2 = cyclic_group(2)
@@ -163,7 +166,7 @@ def test_criterion_2_one_vertex_even_gcd():
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_criterion_3_symmetric_family(n):
     spec = symmetric_three_vertex_spec(n)
-    b = IntMatrix.identity(3) - spec.matrices[0].transpose()
+    b = IntMatrix.identity(3) - transpose(spec.matrices[0])
     assert smith_normal_form(b).diagonal == (1, 1, 2 * n)
 
     page = compute_e2(spec)
@@ -255,7 +258,7 @@ def test_criterion_5_snf_property_suite():
         m = IntMatrix(rows, cols, [[rng.randint(-20, 20) for _ in range(cols)]
                                    for _ in range(rows)])
         s = smith_normal_form(m)
-        assert s.u @ m @ s.v == s.d, f"trial {trial}: u m v != d"
+        assert s.u @ m @ s.v == snf_d(s), f"trial {trial}: u m v != d"
         assert abs(determinant(s.u)) == 1, f"trial {trial}: u not unimodular"
         assert abs(determinant(s.v)) == 1, f"trial {trial}: v not unimodular"
         diag = s.diagonal
@@ -328,7 +331,7 @@ def test_criterion_8_cr_relations():
     assert len(corruptions) == 8
     for block, field, degree, rows in corruptions:
         real, cplx = real_block_table(), complex_block_table()
-        bad = IntMatrix.from_rows(rows)
+        bad = from_rows(rows)
         if block == "R":
             real = _with_entry(real, field, degree, bad)
         else:

@@ -1,15 +1,17 @@
 import dataclasses
 import random
 
-from kktheory.abelian import FgAbGroup, IntMatrix, cyclic_group, free_group
+from kktheory.abelian import FgAbGroup, IntMatrix, free_group
 from kktheory.crmodule import build_graded_group, build_rho, psi_on_A
 from kktheory.kgraph import validate
 
 from helpers import (
     CrBlockTables,
     check_cr_relations,
-    complexification_degree0,
     complex_block_table,
+    complexification_degree0,
+    cyclic_group,
+    from_rows,
     random_valid_spec,
     real_block_table,
     standard_tables,
@@ -52,7 +54,7 @@ def _with_entry(table, field, degree, matrix):
 
 
 def test_relations_fail_on_flipped_psi2():
-    corrupted = _with_entry(real_block_table(), "psi", 2, IntMatrix.from_rows([[1]]))
+    corrupted = _with_entry(real_block_table(), "psi", 2, from_rows([[1]]))
     report = check_cr_relations(CrBlockTables(corrupted, complex_block_table()))
     fails = report.failures()
     assert any(c.relation == "c.r = 1 + psi" and c.degree == 2 and c.block == "R"
@@ -74,7 +76,7 @@ CORRUPTIONS = [
 def test_each_corruption_is_detected():
     for block, field, degree, rows in CORRUPTIONS:
         real, cplx = real_block_table(), complex_block_table()
-        bad = IntMatrix.from_rows(rows)
+        bad = from_rows(rows)
         if block == "R":
             real = _with_entry(real, field, degree, bad)
         else:
@@ -121,11 +123,11 @@ def test_rho_degree_matrices_symmetric_family():
     n = 5
     spec = symmetric_three_vertex_spec(n)
     rho = build_rho(spec, 1)
-    assert rho.hom("real", 0).matrix == IntMatrix.from_rows([[0, -2], [-1, 2 - n]])
-    assert rho.hom("real", 6).matrix == IntMatrix.from_rows([[n]])
-    assert rho.hom("real", 1).matrix == IntMatrix.from_rows([[0]])
-    assert rho.hom("real", 2).matrix == IntMatrix.from_rows([[0, 1], [0, n]])
-    assert rho.hom("real", 4).matrix == IntMatrix.from_rows([[0, -1], [-2, 2 - n]])
+    assert rho.hom("real", 0).matrix == from_rows([[0, -2], [-1, 2 - n]])
+    assert rho.hom("real", 6).matrix == from_rows([[n]])
+    assert rho.hom("real", 1).matrix == from_rows([[0]])
+    assert rho.hom("real", 2).matrix == from_rows([[0, 1], [0, n]])
+    assert rho.hom("real", 4).matrix == from_rows([[0, -1], [-2, 2 - n]])
     assert rho.hom("real", 3).matrix.shape == (0, 0)
 
 
@@ -133,7 +135,7 @@ def test_rho_complex_part_is_full_matrix():
     n = 3
     spec = symmetric_three_vertex_spec(n)
     rho = build_rho(spec, 1)
-    assert rho.hom("complex", 0).matrix == IntMatrix.from_rows(
+    assert rho.hom("complex", 0).matrix == from_rows(
         [[0, -1, -1], [-1, 1, 1 - n], [-1, 1 - n, 1]])
 
 
@@ -156,7 +158,7 @@ def test_rho_well_defined_for_random_specs():
 def test_psi_swaps_orbit_coordinates():
     part = validate(symmetric_three_vertex_spec(2))
     psi = psi_on_A(part)
-    assert psi.matrix == IntMatrix.from_rows(
+    assert psi.matrix == from_rows(
         [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
 

@@ -17,9 +17,11 @@ from kktheory.kgraph import (
 
 from helpers import (
     asymmetric_three_vertex_spec,
+    from_rows,
     one_vertex_spec,
     random_valid_spec,
     symmetric_three_vertex_spec,
+    transpose,
 )
 
 
@@ -84,11 +86,11 @@ def test_blocks_symmetric_family():
     spec = symmetric_three_vertex_spec(n)
     part = validate(spec)
     bd = block_decompose(spec, 1, part)
-    assert bd.b11 == IntMatrix.from_rows([[0]])
-    assert bd.b12 == IntMatrix.from_rows([[-1]])
-    assert bd.b21 == IntMatrix.from_rows([[-1]])
-    assert bd.b22 == IntMatrix.from_rows([[1]])
-    assert bd.b23 == IntMatrix.from_rows([[1 - n]])
+    assert bd.b11 == from_rows([[0]])
+    assert bd.b12 == from_rows([[-1]])
+    assert bd.b21 == from_rows([[-1]])
+    assert bd.b22 == from_rows([[1]])
+    assert bd.b23 == from_rows([[1 - n]])
 
 
 def test_blocks_identity_involution():
@@ -98,7 +100,7 @@ def test_blocks_identity_involution():
     assert part.paired == ()
     bd = block_decompose(spec, 1, part)
     m = spec.matrices[0]
-    expected = IntMatrix.identity(2) - m.transpose()
+    expected = IntMatrix.identity(2) - transpose(m)
     assert bd.b11 == expected
     assert bd.b22.shape == (0, 0)
 
@@ -107,8 +109,8 @@ def test_blocks_asymmetric_second_color():
     n = 4
     spec = asymmetric_three_vertex_spec(n)
     bd = block_decompose(spec, 2)
-    assert bd.b22 == IntMatrix.from_rows([[2 - n]])
-    assert bd.b23 == IntMatrix.from_rows([[0]])
+    assert bd.b22 == from_rows([[2 - n]])
+    assert bd.b23 == from_rows([[0]])
 
 
 def test_block_reassembly_round_trip():

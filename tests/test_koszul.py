@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,9 +8,12 @@ from kktheory.kgraph import KGraphSpec, validate
 from kktheory.koszul import GradedChainComplex, build_complex, index_tuples
 
 from helpers import (
+    dense_koszul_boundaries,
+    from_rows,
     one_vertex_spec,
     random_valid_spec,
     symmetric_three_vertex_spec,
+    transpose,
     verify_square_zero,
 )
 
@@ -26,8 +30,8 @@ def test_one_vertex_complex_degree_zero():
     cx = build_complex(one_vertex_spec(m, n), 0, "complex")
     assert [g.describe() for g in cx.groups] == ["Z", "Z + Z", "Z"]
     # colors: rho^1 = 1 - m, rho^2 = 1 - n
-    assert cx.boundaries[0].matrix == IntMatrix.from_rows([[1 - m, 1 - n]])
-    assert cx.boundaries[1].matrix == IntMatrix.from_rows([[-(1 - n)], [1 - m]])
+    assert cx.boundaries[0].matrix == from_rows([[1 - m, 1 - n]])
+    assert cx.boundaries[1].matrix == from_rows([[-(1 - n)], [1 - m]])
 
 
 def test_rank_one_degree_three_is_trivial():
@@ -52,8 +56,8 @@ def test_rank_three_top_boundary_signs():
         3, ["v"], [[[2]], [[3]], [[4]]], [0])
     cx = build_complex(spec, 0, "complex")
     r1, r2, r3 = 1 - 2, 1 - 3, 1 - 4
-    assert cx.boundaries[2].matrix == IntMatrix.from_rows([[r3], [-r2], [r1]])
-    assert cx.boundaries[1].matrix == IntMatrix.from_rows([
+    assert cx.boundaries[2].matrix == from_rows([[r3], [-r2], [r1]])
+    assert cx.boundaries[1].matrix == from_rows([
         [-r2, -r3, 0], [r1, 0, -r3], [0, r1, r2]])
 
 
@@ -69,8 +73,8 @@ def test_square_zero_detects_sign_error():
     m, n = 4, 4
     z = free_group(1)
     z2 = free_group(2)
-    d1 = GroupHom(z2, z, IntMatrix.from_rows([[1 - n, 1 - m]]))
-    bad_d2 = GroupHom(z, z2, IntMatrix.from_rows([[-(1 - n)], [-(1 - m)]]))
+    d1 = GroupHom(z2, z, from_rows([[1 - n, 1 - m]]))
+    bad_d2 = GroupHom(z, z2, from_rows([[-(1 - n)], [-(1 - m)]]))
     cx = GradedChainComplex(part="complex", degree=0, k=2,
                             groups=(z, z2, z), boundaries=(d1, bad_d2))
     report = verify_square_zero(cx)
@@ -92,8 +96,8 @@ def test_build_complex_raises_on_noncommuting_rhos():
         m, n = 4, 4
         z = free_group(1)
         z2 = free_group(2)
-        d1 = GroupHom(z2, z, IntMatrix.from_rows([[1 - n, 1 - m]]))
-        bad_d2 = GroupHom(z, z2, IntMatrix.from_rows([[-(1 - n)], [-(1 - m)]]))
+        d1 = GroupHom(z2, z, from_rows([[1 - n, 1 - m]]))
+        bad_d2 = GroupHom(z, z2, from_rows([[-(1 - n)], [-(1 - m)]]))
         cx = GradedChainComplex(part="complex", degree=0, k=2,
                                 groups=(z, z2, z), boundaries=(d1, bad_d2))
         report = verify_square_zero(cx)
@@ -107,8 +111,8 @@ def test_e2_page_refuses_boundaries_that_do_not_compose_to_zero(monkeypatch):
     m, n = 4, 4
     z = free_group(1)
     z2 = free_group(2)
-    d1 = GroupHom(z2, z, IntMatrix.from_rows([[1 - n, 1 - m]]))
-    bad_d2 = GroupHom(z, z2, IntMatrix.from_rows([[-(1 - n)], [-(1 - m)]]))
+    d1 = GroupHom(z2, z, from_rows([[1 - n, 1 - m]]))
+    bad_d2 = GroupHom(z, z2, from_rows([[-(1 - n)], [-(1 - m)]]))
     bad = GradedChainComplex(part="complex", degree=0, k=2,
                              groups=(z, z2, z), boundaries=(d1, bad_d2))
     monkeypatch.setattr(spectral, "build_complex", lambda *args: bad)
@@ -116,13 +120,47 @@ def test_e2_page_refuses_boundaries_that_do_not_compose_to_zero(monkeypatch):
         spectral.compute_e2(one_vertex_spec(m, n))
 
 
+def test_e2_page_refuses_a_rank_three_boundary_off_its_first_blocks(monkeypatch):
+    # one entry of d_2 beyond the first block row and column: a product that
+    # skipped entries there would let the broken complex through
+    from kktheory import spectral
+    spec = random_valid_spec(random.Random(0), 3, 4)
+    spectral.compute_e2(spec)
+
+    def broken(spec, degree, part, *args):
+        cx = build_complex(spec, degree, part, *args)
+        if (part, degree) != ("complex", 0):
+            return cx
+        d2 = cx.boundaries[1]
+        n = cx.groups[0].ambient_rank
+        rows = [list(r) for r in d2.matrix.data]
+        assert len(rows) > n and len(rows[-1]) > n
+        rows[-1][-1] += 1
+        bad = GroupHom(d2.source, d2.target, IntMatrix(len(rows), len(rows[0]), rows))
+        return dataclasses.replace(cx, boundaries=(cx.boundaries[0], bad, cx.boundaries[2]))
+
+    monkeypatch.setattr(spectral, "build_complex", broken)
+    with pytest.raises(CompositionNotZero):
+        spectral.compute_e2(spec)
+
+
+def test_boundaries_match_the_dense_block_grid():
+    rng = random.Random(5)
+    for k in range(1, 6):
+        spec = random_valid_spec(rng, k)
+        for part, degrees in (("real", range(8)), ("complex", range(2))):
+            for j in degrees:
+                built = [b.matrix for b in build_complex(spec, j, part).boundaries]
+                assert built == dense_koszul_boundaries(spec, j, part), (k, part, j)
+
+
 def test_trivial_involution_complex_part_is_plain_koszul():
     # with no orbits the degree-0 complex part blocks are exactly I - M^t
     spec = KGraphSpec.from_lists(
         2, ["a", "b"], [[[2, 1], [1, 2]], [[1, 1], [1, 1]]], [0, 1])
     cx = build_complex(spec, 0, "complex")
-    b1 = IntMatrix.identity(2) - spec.matrices[0].transpose()
-    b2 = IntMatrix.identity(2) - spec.matrices[1].transpose()
+    b1 = IntMatrix.identity(2) - transpose(spec.matrices[0])
+    b2 = IntMatrix.identity(2) - transpose(spec.matrices[1])
     assert cx.boundaries[0].matrix == IntMatrix.hstack(b1, b2)
     assert cx.boundaries[1].matrix == IntMatrix.vstack(-b2, b1)
 

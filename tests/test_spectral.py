@@ -10,10 +10,8 @@ from kktheory.abelian import (
     GroupHom,
     IntMatrix,
     abelian_groups_of_order,
-    cyclic_group,
     free_group,
     homology,
-    identity_hom,
     induced_hom,
     trivial_group,
     zero_hom,
@@ -40,11 +38,15 @@ from kktheory.spectral import (
 from helpers import (
     asymmetric_three_vertex_spec,
     core_table_consistent,
+    cyclic_group,
     enumerate_cycle_by_sweep,
+    hom_equals,
+    identity_hom,
     injective_variants_by_homs,
     one_vertex_spec,
     random_valid_spec,
     symmetric_three_vertex_spec,
+    transpose,
 )
 
 Z2 = cyclic_group(2)
@@ -361,7 +363,7 @@ def plain_koszul_homology(matrices):
     groups.  Cross-checks the block machinery for trivial involutions."""
     k = len(matrices)
     nv = matrices[0].rows
-    bs = {i + 1: IntMatrix.identity(nv) - m.transpose()
+    bs = {i + 1: IntMatrix.identity(nv) - transpose(m)
           for i, m in enumerate(matrices)}
     levels = [list(combinations(range(1, k + 1), p)) for p in range(k + 1)]
     groups = [free_group(nv * len(lv)) for lv in levels]
@@ -451,8 +453,8 @@ def test_a_kernel_lattice_is_decomposed_once(monkeypatch):
         n = cell.lift.cols
         assert [cell.express(cell.lift.col(i)) for i in range(n)] == \
             [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        assert induced_hom(identity_hom(cell.middle), cell, cell).equals(
-            identity_hom(cell.group))
+        assert hom_equals(induced_hom(identity_hom(cell.middle), cell, cell),
+                          identity_hom(cell.group))
     result = compute_ku_with_psi(page, report)
     assert all(g == cyclic_group(4) for g in result.ku)
     assert [result.psi_scalar(q) for q in range(8)] == [-1, -1, 1, 1, -1, -1, 1, 1]
