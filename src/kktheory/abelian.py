@@ -7,10 +7,12 @@ ever touches floating point, so results are exact at any size.  The pieces:
   shapes like 0 x n, which occur routinely as boundary maps of trivial groups.
 * ``smith_normal_form`` -- ``u @ m @ v == d`` with unimodular ``u``, ``v`` and
   a divisibility chain ``d[0][0] | d[1][1] | ...`` of nonnegative entries;
-  ``smith_diagonal`` computes the diagonal alone modulo one nonzero minor D,
-  so no intermediate entry exceeds the Hadamard bound.  Nothing is memoized
-  across calls: a boundary keeps its diagonal (``GroupHom.smith_diagonal``)
-  and a homology cell the decomposition of its kernel lattice.
+  ``smith_diagonal`` computes the diagonal alone: pivots +-1 first, over Z,
+  then lazily scaled Bareiss elimination on what they leave for one nonzero
+  minor D, then the rest modulo D.  By Sylvester's identity no intermediate
+  entry exceeds the Hadamard bound.  Nothing is memoized across calls: a
+  boundary keeps its diagonal (``GroupHom.smith_diagonal``) and a homology
+  cell the decomposition of its kernel lattice.
 * ``FgAbGroup`` -- a finitely generated abelian group Z^n modulo one modulus
   per coordinate (0 for a free coordinate), carrying its canonical
   invariant-factor decomposition.  Every group of the calculator has this
@@ -69,7 +71,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(map(tuple, entries))
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError(f"expected {rows}x{cols} entries")
         object.__setattr__(self, "rows", rows)
@@ -358,81 +360,120 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
 def smith_diagonal(m: IntMatrix) -> tuple:
     """The Smith diagonal of ``m``, with every intermediate entry bounded.
 
-    Fraction-free elimination gives the rank r and a nonzero r x r minor D.
-    Every nonzero invariant factor divides D, so the rest runs over Z/DZ
-    (Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.4.14):
-    diagonalize modulo D, read each entry e as the ideal gcd(e, D) (a 0 reads
-    as D), and sort those ideals into a divisibility chain.  Every stored
+    ``_rank_and_minor`` takes every pivot of absolute value 1 first, each
+    an invariant factor 1, then runs fraction-free elimination on the
+    remainder for the rank r and a nonzero r x r minor D.  Every other
+    nonzero invariant factor divides D, so the remainder is diagonalized
+    over Z/DZ (Cohen, *A Course in Computational Algebraic Number Theory*,
+    Alg. 2.4.14): each entry e reads as the ideal gcd(e, D) (a 0 reads as
+    D), and those ideals are sorted into a divisibility chain.  Every stored
     entry is a minor of ``m`` or a residue below D, so none exceeds the
     Hadamard bound of ``m``.
     """
     size = min(m.rows, m.cols)
-    rank, minor = _rank_and_minor(m)
-    if rank == 0 or minor == 1:
-        return (1,) * rank + (0,) * (size - rank)
-    if rank == 1:  # d_1 is the gcd of the entries
-        return (gcd(*(x for row in m.data for x in row)),) + (0,) * (size - 1)
-    ideals = [gcd(e, minor) for e in _diagonal_mod(m, minor)]
-    ideals += [minor] * (rank - len(ideals))
-    return tuple(_divisibility_chain(ideals)[:rank]) + (0,) * (size - rank)
+    rank, minor, units, rest = _rank_and_minor(m)
+    ones, zeros = (1,) * units, (0,) * (size - rank)
+    if minor == 1:
+        return (1,) * rank + zeros
+    if rank == units + 1:  # the last factor is the gcd of the remainder
+        return ones + (gcd(*(x for row in rest for x in row)),) + zeros
+    ideals = [gcd(e, minor) for e in _diagonal_mod(rest, minor)]
+    ideals += [minor] * (rank - units - len(ideals))
+    return ones + tuple(_divisibility_chain(ideals)[:rank - units]) + zeros
 
 
 def _rank_and_minor(m: IntMatrix):
-    """The rank r of ``m`` and the absolute value of one nonzero r x r minor.
+    """(r, D, u, rest): the rank r of ``m``, the absolute value D of one
+    nonzero r x r minor, and the u pivots of absolute value 1 taken first
+    with the remainder ``rest`` (rows, zero columns dropped) they leave.
 
-    Bareiss elimination: after each step every remaining entry is the minor
-    on the pivot rows and columns so far plus its own row and column, so the
-    divisions are exact and the last pivot is the minor returned.  A pivot
-    column is dropped once it is cleared.
+    A unit pivot is plain elimination (``_peel_units``).  By Sylvester's
+    identity each remainder entry is the minor on the pivots so far plus its
+    own row and column, divided by the pivot block's determinant +-1, so it
+    is +- a minor of ``m``.  Bareiss elimination then runs on ``rest``: after
+    each step every remaining entry is such a minor again, the divisions are
+    exact and the last pivot is D.  A row whose pivot-column entry is 0 is
+    only rescaled by pivot / prev, so it keeps the pivot it was last brought
+    to, s, and is caught up when next used: as the pivot row by x * prev / s,
+    and against a pivot row y by (pivot * x - c * y) / s, the scale factors
+    telescoping in between.  No row is changed in place, so ``rest`` is
+    returned as the unit pivots left it.
     """
-    rows = [list(row) for row in m.data if any(row)]
-    rank, prev = 0, 1
+    units, rest = _peel_units([list(row) for row in m.data if any(row)])
+    rows = [(row, 1) for row in rest]
+    rank, prev = units, 1
     while rows:
-        prow = rows.pop()
+        prow, s = rows.pop()
         j = min((j for j, e in enumerate(prow) if e), key=lambda j: abs(prow[j]))
-        pivot = prow.pop(j)
+        if s != prev:
+            prow = [x * prev // s for x in prow]
+        pivot = prow[j]
         if pivot < 0:  # negating a row only flips the sign of the minors
             pivot, prow = -pivot, [-x for x in prow]
         remaining = []
-        for row in rows:
-            c = row.pop(j)
+        for row, s in rows:
+            c = row[j]
             if c:
-                row = [(pivot * x - c * y) // prev for x, y in zip(row, prow)]
-            elif pivot != prev:
-                row = [pivot * x // prev for x in row]
-            if any(row):
-                remaining.append(row)
+                row = [(pivot * x - c * y) // s for x, y in zip(row, prow)]
+                if any(row):
+                    remaining.append((row, pivot))
+            else:
+                remaining.append((row, s))
         rows, rank, prev = remaining, rank + 1, pivot
-    return rank, prev
+    return rank, prev, units, rest
 
 
-def _diagonal_mod(m: IntMatrix, modulus):
-    """The nonzero entries of a diagonal matrix equivalent to ``m`` over Z/modulus.
+def _peel_units(rows, modulus=0):
+    """Eliminate unit pivots while any is left, over Z/modulus, or over Z
+    with units +-1 when the modulus is 0: the number taken and the nonzero
+    rows left, with their zero columns dropped.  ``rows`` (nonzero lists)
+    is consumed.
 
-    Unit pivots are peeled off by plain elimination, dropping each pivot row
-    and column; what is left goes through a Smith loop of extended-gcd row
-    and column operations.
+    A row is scanned once, and again only after an elimination changed it.
+    An elimination subtracts a multiple of the pivot row from each row with
+    a nonzero entry in the pivot column, touching only the pivot row's
+    nonzero columns, and so zeroes that column.
     """
-    rows = [row for row in ([x % modulus for x in row] for row in m.data) if any(row)]
-    diag = []
-    while True:
-        unit = next(((i, j) for i, row in enumerate(rows) for j, e in enumerate(row)
-                     if e and gcd(e, modulus) == 1), None)
-        if unit is None:
-            break
-        i, j = unit
-        prow = rows.pop(i)
-        inv = pow(prow.pop(j), -1, modulus)
-        remaining = []
-        for row in rows:
-            c = row.pop(j)
-            if c:
-                q = c * inv
-                row = [(x - q * y) % modulus for x, y in zip(row, prow)]
-            if any(row):
-                remaining.append(row)
-        rows = remaining
-        diag.append(1)
+    todo, queued, units = list(range(len(rows)))[::-1], [True] * len(rows), 0
+    while todo:
+        i = todo.pop()
+        queued[i], row = False, rows[i]
+        if modulus:
+            j = next((j for j, e in enumerate(row) if e and gcd(e, modulus) == 1), None)
+        else:
+            j = row.index(1) if 1 in row else row.index(-1) if -1 in row else None
+        if j is None:
+            continue
+        rows[i], units = None, units + 1
+        inv = pow(row[j], -1, modulus) if modulus else row[j]
+        terms = [(l, y * inv % modulus if modulus else y * inv) for l, y in enumerate(row) if y]
+        for t, other in enumerate(rows):
+            if other is not None and other[j]:
+                c = other[j]
+                if modulus:
+                    for l, y in terms:
+                        other[l] = (other[l] - c * y) % modulus
+                else:
+                    for l, y in terms:
+                        other[l] -= c * y
+                if not queued[t]:
+                    queued[t] = True
+                    todo.append(t)
+    rest = [row for row in rows if row is not None and any(row)]
+    keep = [l for l, col in enumerate(zip(*rest)) if any(col)]
+    return units, [[row[l] for l in keep] for row in rest]
+
+
+def _diagonal_mod(rows, modulus):
+    """The nonzero entries of a diagonal matrix equivalent to ``rows`` over
+    Z/modulus.
+
+    Unit pivots are peeled off first (``_peel_units``); what is left goes
+    through a Smith loop of extended-gcd row and column operations.
+    """
+    units, rows = _peel_units(
+        [row for row in ([x % modulus for x in row] for row in rows) if any(row)], modulus)
+    diag = [1] * units
     while rows:
         i, j = min(((i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e),
                    key=lambda ij: rows[ij[0]][ij[1]])
@@ -625,11 +666,6 @@ class GroupHom:
             raise NotWellDefined(
                 "matrix does not map source relations into target relations")
 
-    def __matmul__(self, other: "GroupHom") -> "GroupHom":
-        if not same_presentation(other.target, self.source):
-            raise ValueError("composition mismatch: inner target != outer source")
-        return GroupHom(other.source, self.target, self.matrix @ other.matrix)
-
     def __add__(self, other: "GroupHom") -> "GroupHom":
         if not (same_presentation(self.source, other.source)
                 and same_presentation(self.target, other.target)):
@@ -811,10 +847,10 @@ def homology(d_in: GroupHom, d_out: GroupHom) -> HomologyResult:
     """
     if not same_presentation(d_in.target, d_out.source):
         raise ValueError("middle groups of the two boundary maps differ")
-    composite = d_out @ d_in
-    if not composite.is_zero():
+    composite = d_out.matrix @ d_in.matrix
+    if not _vanishes_in(d_out.target, composite.data):
         raise CompositionNotZero("boundary maps do not compose to zero")
-    group = _diagonal_homology(d_in, d_out, composite.matrix)
+    group = _diagonal_homology(d_in, d_out, composite)
     return HomologyResult(group, d_in.target, d_in.matrix, d_out)
 
 

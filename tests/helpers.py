@@ -15,13 +15,18 @@ coordinate.  ``kernel_basis`` and ``column_span_basis`` are the two steps
 of ``kernel_lattice``, written out on their own.  ``dense_matmul`` (every
 row against every column) and ``dense_koszul_boundaries`` (a full grid of
 n x n blocks, zero blocks included) are the oracles for the library's
-product over nonzero entries and its row-by-row boundary layout.  Matrix,
-group and hom constructors that no calculator code needs (``from_rows``,
-``transpose``, ``cyclic_group``, ``identity_hom``, ...) live here too.
+product over nonzero entries and its row-by-row boundary layout;
+``eager_rank_and_minor`` (Bareiss rescaling every row at every step) and
+``restarting_diagonal_mod`` (a unit search that restarts from the first row
+after each unit) are the oracles for the library's Smith diagonal steps.
+Matrix, group and hom constructors that no calculator code needs
+(``from_rows``, ``transpose``, ``cyclic_group``, ``identity_hom``,
+``compose``, ...) live here too.
 """
 
 from dataclasses import dataclass
 from itertools import product as cartesian
+from math import gcd
 import random
 
 from kktheory.abelian import (
@@ -35,6 +40,7 @@ from kktheory.abelian import (
     smith_diagonal,
     smith_normal_form,
     trivial_group,
+    _combine,
 )
 from kktheory.crmodule import build_graded_group, build_rho
 from kktheory.kgraph import KGraphSpec, VertexPartition, validate
@@ -87,6 +93,13 @@ def identity_hom(g: FgAbGroup) -> GroupHom:
     return GroupHom(g, g, IntMatrix.identity(g.ambient_rank))
 
 
+def compose(f: GroupHom, g: GroupHom) -> GroupHom:
+    """f after g, certified again as a hom g.source -> f.target."""
+    if not same_presentation(g.target, f.source):
+        raise ValueError("composition mismatch: inner target != outer source")
+    return GroupHom(g.source, f.target, f.matrix @ g.matrix)
+
+
 def hom_equals(f: GroupHom, g: GroupHom) -> bool:
     """Same endpoints, and the two matrices agree modulo the target relations."""
     return (same_presentation(f.source, g.source)
@@ -95,7 +108,8 @@ def hom_equals(f: GroupHom, g: GroupHom) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dense oracles for the matrix product and the Koszul boundaries
+# Oracles for the matrix product, the Smith diagonal steps and the Koszul
+# boundaries
 # ---------------------------------------------------------------------------
 
 def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -107,6 +121,84 @@ def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(a.rows, b.cols,
                      [[sum(x * y for x, y in zip(row, c)) for c in bt]
                       for row in a.data])
+
+
+def eager_rank_and_minor(m: IntMatrix):
+    """The rank r of ``m`` and the absolute value of one nonzero r x r minor.
+
+    Bareiss elimination: after each step every remaining entry is the minor
+    on the pivot rows and columns so far plus its own row and column, so the
+    divisions are exact and the last pivot is the minor returned.  A pivot
+    column is dropped once it is cleared.
+    """
+    rows = [list(row) for row in m.data if any(row)]
+    rank, prev = 0, 1
+    while rows:
+        prow = rows.pop()
+        j = min((j for j, e in enumerate(prow) if e), key=lambda j: abs(prow[j]))
+        pivot = prow.pop(j)
+        if pivot < 0:  # negating a row only flips the sign of the minors
+            pivot, prow = -pivot, [-x for x in prow]
+        remaining = []
+        for row in rows:
+            c = row.pop(j)
+            if c:
+                row = [(pivot * x - c * y) // prev for x, y in zip(row, prow)]
+            elif pivot != prev:
+                row = [pivot * x // prev for x in row]
+            if any(row):
+                remaining.append(row)
+        rows, rank, prev = remaining, rank + 1, pivot
+    return rank, prev
+
+
+def restarting_diagonal_mod(m: IntMatrix, modulus):
+    """The nonzero entries of a diagonal matrix equivalent to ``m`` over Z/modulus.
+
+    Unit pivots are peeled off by plain elimination, dropping each pivot row
+    and column; what is left goes through a Smith loop of extended-gcd row
+    and column operations.
+    """
+    rows = [row for row in ([x % modulus for x in row] for row in m.data) if any(row)]
+    diag = []
+    while True:
+        unit = next(((i, j) for i, row in enumerate(rows) for j, e in enumerate(row)
+                     if e and gcd(e, modulus) == 1), None)
+        if unit is None:
+            break
+        i, j = unit
+        prow = rows.pop(i)
+        inv = pow(prow.pop(j), -1, modulus)
+        remaining = []
+        for row in rows:
+            c = row.pop(j)
+            if c:
+                q = c * inv
+                row = [(x - q * y) % modulus for x, y in zip(row, prow)]
+            if any(row):
+                remaining.append(row)
+        rows = remaining
+        diag.append(1)
+    while rows:
+        i, j = min(((i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e),
+                   key=lambda ij: rows[ij[0]][ij[1]])
+        rows[0], rows[i] = rows[i], rows[0]
+        p = rows[0][j]
+        while True:
+            for i in range(1, len(rows)):
+                if rows[i][j]:
+                    p, rows[0], rows[i] = _combine(p, rows[i][j], rows[0], rows[i], modulus)
+            for l in range(len(rows[0])):
+                if l != j and rows[0][l]:
+                    p, col_j, col_l = _combine(p, rows[0][l], [r[j] for r in rows],
+                                               [r[l] for r in rows], modulus)
+                    for row, a, b in zip(rows, col_j, col_l):
+                        row[j], row[l] = a, b
+            if not any(row[j] for row in rows[1:]):
+                break
+        diag.append(p)
+        rows = [row for row in rows[1:] if any(row)]
+    return diag
 
 
 def dense_koszul_boundaries(spec: KGraphSpec, degree: int, part: str) -> list:
@@ -763,6 +855,6 @@ def verify_square_zero(cx: GradedChainComplex) -> SquareZeroReport:
     """Compose every adjacent boundary pair and test for the zero map."""
     checks = []
     for p in range(1, cx.k + 1):
-        composite = cx.boundary(p) @ cx.boundary(p + 1)
+        composite = compose(cx.boundary(p), cx.boundary(p + 1))
         checks.append(SquareZeroCheck(position=p, passed=composite.is_zero()))
     return SquareZeroReport(tuple(checks))

@@ -28,7 +28,12 @@ from kktheory.abelian import (
 )
 
 from kktheory import abelian
-from kktheory.abelian import _diagonal_homology, _lattice_homology, _rank_and_minor
+from kktheory.abelian import (
+    _diagonal_homology,
+    _diagonal_mod,
+    _lattice_homology,
+    _rank_and_minor,
+)
 from kktheory.crmodule import COMPLEX_PERIOD, REAL_PERIOD, build_graded_group, build_rho
 from kktheory.kgraph import validate
 from kktheory.koszul import build_complex
@@ -36,9 +41,11 @@ from kktheory.spectral import compute_e2
 
 from helpers import (
     column_span_basis,
+    compose,
     cyclic_group,
     determinant,
     diagonal_matrix,
+    eager_rank_and_minor,
     extension_candidates_by_homs,
     from_rows,
     group_from_presentation,
@@ -52,6 +59,7 @@ from helpers import (
     planted_matrix,
     random_finite_complex,
     random_valid_spec,
+    restarting_diagonal_mod,
     snf_d,
     solve_in_span,
     transpose,
@@ -179,9 +187,40 @@ def test_diagonal_only_snf_on_every_scan_boundary():
         # its own coefficient growth stays small on these matrices
         oracle = smith_normal_form(m if m.rows >= m.cols else transpose(m))
         assert smith_diagonal(m) == oracle.diagonal, name
-        rank, minor = _rank_and_minor(m)
+        rank, minor, _, rest = _rank_and_minor(m)
         assert rank == oracle.rank, name
-        assert minor ** 2 <= hadamard_bound_squared(m), name
+        bound = hadamard_bound_squared(m)
+        assert minor ** 2 <= bound, name
+        # each entry the unit pivots leave is +- a minor of m (Sylvester)
+        assert all(x * x <= bound for row in rest for x in row), name
+
+
+def test_unit_search_rescans_a_row_once_an_elimination_changed_it():
+    # over Z the first row has no entry +-1 until three times the second
+    # row is taken off it
+    assert _rank_and_minor(from_rows([[3, 2], [1, 1]])) == (2, 1, 2, [])
+    # modulo 30 neither of the first two rows has a unit; the last row's
+    # unit 1 turns the second row into [0, 5, 1], whose unit 1 then turns
+    # the first row, [0, 2, 5] by then, into [0, 7, 0]
+    rows = [[5, 2, 15], [2, 5, 5], [1, 0, 2]]
+    assert _diagonal_mod(rows, 30) == [1, 1, 1]
+    assert restarting_diagonal_mod(from_rows(rows), 30) == [1, 1, 1]
+
+
+def test_bareiss_catches_up_a_row_left_alone_for_two_steps():
+    # no entry is +-1, so Bareiss runs on the whole matrix, taking pivot
+    # rows from the bottom.  The top row has zeros in the first two pivot
+    # columns (0 and 1), so it is left alone for two steps.  It is then the
+    # last pivot row in ``staircase`` and is combined with the third pivot
+    # row in ``combined``; both are exact only once it is caught up to the
+    # pivot 6 it skipped
+    staircase = from_rows([[0, 0, 5], [0, 3, 5], [2, 4, 7]])
+    combined = from_rows([[0, 0, 3, 2], [0, 0, 4, 6], [0, 3, 5, 4], [2, 4, 7, 9]])
+    for m, det in ((staircase, -30), (combined, -60)):
+        assert determinant(m) == det
+        assert _rank_and_minor(m)[:3] == (m.rows, abs(det), 0)
+        assert eager_rank_and_minor(m) == (m.rows, abs(det))
+        assert smith_diagonal(m) == smith_normal_form(m).diagonal
 
 
 def test_matrix_shape_checks_and_immutability():
@@ -428,7 +467,7 @@ def test_diagonal_cells_match_the_lattice_path():
             for p in range(cx.k + 1):
                 d_in, d_out = cx.boundary(p + 1), cx.boundary(p)
                 read[cell_kind(d_in, d_out)] += 1
-                group = _diagonal_homology(d_in, d_out, (d_out @ d_in).matrix)
+                group = _diagonal_homology(d_in, d_out, d_out.matrix @ d_in.matrix)
                 h = homology(d_in, d_out)
                 assert group == h.group
                 assert _lattice_homology(d_in.matrix, d_in.target, d_out)[0] == group
@@ -455,7 +494,7 @@ def test_elementary_middles_match_the_element_oracle():
         d_in = GroupHom(free_group(len(cols)), middle,
                         IntMatrix.from_columns(cols, rows=n))
         d_out = GroupHom(middle, FgAbGroup.from_invariants([p] * m), IntMatrix(m, n, a))
-        group = _diagonal_homology(d_in, d_out, (d_out @ d_in).matrix)
+        group = _diagonal_homology(d_in, d_out, d_out.matrix @ d_in.matrix)
         h = homology(d_in, d_out)
         f_rows = [[c[i] for c in cols] for i in range(n)]
         assert group == h.group
@@ -534,8 +573,8 @@ def test_induced_respects_composition():
     h0, middle = three_vertex_h0(2)
     psi = GroupHom(middle, middle, swap_last_two())
     once = induced_hom(psi, h0, h0)
-    twice = induced_hom(psi @ psi, h0, h0)
-    assert hom_equals(twice, once @ once)
+    twice = induced_hom(compose(psi, psi), h0, h0)
+    assert hom_equals(twice, compose(once, once))
     assert hom_equals(twice, identity_hom(h0.group))
 
 
