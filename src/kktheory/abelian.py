@@ -187,9 +187,6 @@ class IntMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def is_zero(self):
-        return all(a == 0 for row in self.data for a in row)
-
     def tolist(self):
         return [list(r) for r in self.data]
 
@@ -665,18 +662,6 @@ class GroupHom:
         if not _vanishes_in(self.target, images):
             raise NotWellDefined(
                 "matrix does not map source relations into target relations")
-
-    def __add__(self, other: "GroupHom") -> "GroupHom":
-        if not (same_presentation(self.source, other.source)
-                and same_presentation(self.target, other.target)):
-            raise ValueError("sum of homs with different endpoints")
-        return GroupHom(self.source, self.target, self.matrix + other.matrix)
-
-    def __neg__(self):
-        return GroupHom(self.source, self.target, -self.matrix)
-
-    def is_zero(self) -> bool:
-        return _vanishes_in(self.target, self.matrix.data)
 
     @cached_property
     def smith_diagonal(self) -> tuple:

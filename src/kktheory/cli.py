@@ -27,7 +27,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .abelian import DEFAULT_EXTENSION_BOUND, BoundExceeded, FgAbGroup
+from .abelian import DEFAULT_EXTENSION_BOUND, BoundExceeded
 from .kgraph import KGraphError, KGraphSpec
 from .spectral import run_pipeline
 
@@ -102,10 +102,6 @@ def load_spec(path: str) -> KGraphSpec:
 # Structured result
 # ---------------------------------------------------------------------------
 
-def _gstr(g: FgAbGroup) -> str:
-    return g.describe()
-
-
 def _psi_json(kupsi, q):
     hom = kupsi.psi[q]
     return {"matrix": hom.matrix.tolist(), "scalar": kupsi.psi_scalar(q)}
@@ -115,15 +111,15 @@ def _assembly_json(asm):
     entry = {
         "q": asm.q,
         "status": asm.status,
-        "factors": [{"p": p, "j": j, "group": _gstr(g)}
+        "factors": [{"p": p, "j": j, "group": g.describe()}
                     for (p, j, g) in asm.factors if not g.is_trivial],
     }
     if asm.status == "d2_ambiguous":
         entry["variants"] = [{"label": v.label,
-                              "candidates": [_gstr(c) for c in v.candidates]}
+                              "candidates": [c.describe() for c in v.candidates]}
                              for v in asm.variants]
     else:
-        entry["candidates"] = [_gstr(c) for c in asm.candidates]
+        entry["candidates"] = [c.describe() for c in asm.candidates]
     return entry
 
 
@@ -148,15 +144,15 @@ def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
             "note": INVOLUTION_NOTE,
         },
         "e2": {
-            "real": [[_gstr(page.group("real", p, q)) for p in range(spec.k + 1)]
+            "real": [[page.group("real", p, q).describe() for p in range(spec.k + 1)]
                      for q in range(8)],
-            "complex": [[_gstr(page.group("complex", p, q)) for p in range(spec.k + 1)]
+            "complex": [[page.group("complex", p, q).describe() for p in range(spec.k + 1)]
                         for q in range(2)],
         },
         "differentials": [
             {"r": e.r, "source": list(e.source), "target": list(e.target),
-             "part": e.part, "source_group": _gstr(e.source_group),
-             "target_group": _gstr(e.target_group)}
+             "part": e.part, "source_group": e.source_group.describe(),
+             "target_group": e.target_group.describe()}
             for e in result.report.entries
         ],
         "ko": [_assembly_json(a) for a in result.real],
@@ -170,24 +166,24 @@ def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
     else:
         doc["ku"] = {
             "ambiguous": False,
-            "groups": [_gstr(kupsi.ku[q]) for q in range(8)],
+            "groups": [kupsi.ku[q].describe() for q in range(8)],
             "psi": [_psi_json(kupsi, q) for q in range(8)],
         }
-        doc["mu"] = [_gstr(g) for g in result.mu]
+        doc["mu"] = [g.describe() for g in result.mu]
         constraints = result.constraints
         doc["core"] = {
             "constraints": {
                 "known_mo": {str(q): r for q, r in sorted(constraints.known_mo.items())},
                 "mo_rank_bounds": {str(q): r for q, r in sorted(constraints.mo_bounds.items())},
             },
-            "solutions": [[_gstr(g) for g in table] for table in result.solutions],
+            "solutions": [[g.describe() for g in table] for table in result.solutions],
         }
 
     if config.emit_intermediate:
         inter = {}
         for (part, j), cx in sorted(page.complexes.items()):
             inter[f"{part}/{j}"] = {
-                "groups": [_gstr(g) for g in cx.groups],
+                "groups": [g.describe() for g in cx.groups],
                 "boundaries": [b.matrix.tolist() for b in cx.boundaries],
                 "snf_diagonals": [list(b.smith_diagonal) for b in cx.boundaries],
             }
@@ -198,7 +194,7 @@ def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
         for (part, p, j), cell in sorted(page.cells.items()):
             if not cell.group.is_trivial:
                 lifts[f"{part}/{p},{j}"] = {
-                    "group": _gstr(cell.group),
+                    "group": cell.group.describe(),
                     "generators": [list(cell.lift.col(i))
                                    for i in range(cell.lift.cols)],
                 }

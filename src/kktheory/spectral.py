@@ -16,8 +16,10 @@ a 24-term periodic exact sequence
 
     ... -> MO_i --eta'--> MO_{i+1} --c'--> MU_i --r'--> MO_{i-2} -> ...
 
-which the solver enumerates at the level of Z_2-ranks by a depth-first
-search that checks every MO term as soon as it is determined.
+which the solver enumerates at the level of Z_2-ranks by one depth-first
+search over the c/r splits at the eight MU terms: each split fixes an eta
+rank and an MO rank by exactness, so every loop is bounded by the MU ranks
+and the MO rank bound only filters.
 
 ``run_pipeline`` is the one pass over a k-graph: validation and the E2 page
 (``compute_e2``), the differential report, both diagonal assemblies, KU with
@@ -382,28 +384,11 @@ def compute_mu(ku, psi):
 
 @dataclass
 class CoreConstraints:
-    """Facts the solver must respect.
-
-    known_mo: q -> exact Z_2-rank of MO_q.
-    mo_bounds: q -> upper bound on that rank.
-    arrows: ("eta", i) | ("c", i) | ("r", i) -> "zero" | "injective" |
-    "surjective", where eta_i: MO_i -> MO_{i+1}, c_i: MO_{i+1} -> MU_i and
-    r_i: MU_i -> MO_{i-2}.
-    """
+    """Facts the solver must respect: ``known_mo`` maps q to the exact Z_2-rank
+    of MO_q, ``mo_bounds`` maps q to an upper bound on it."""
 
     known_mo: dict = field(default_factory=dict)
     mo_bounds: dict = field(default_factory=dict)
-    arrows: dict = field(default_factory=dict)
-
-
-def _core_cycle(start):
-    """Arrow names of the 12-term exact cycle beginning at MO_start."""
-    segs = []
-    s = start
-    for _ in range(4):
-        segs.append(s % 8)
-        s -= 2
-    return segs
 
 
 def _mu_ranks(mu_groups):
@@ -415,108 +400,60 @@ def _mu_ranks(mu_groups):
     return ranks
 
 
-def _arrow_fact_ok(fact, v, src_rank, tgt_rank):
-    if fact == "zero":
-        return v == 0
-    if fact == "injective":
-        return v == src_rank
-    if fact == "surjective":
-        return v == tgt_rank
-    raise ValueError(f"unknown arrow fact {fact!r}")
-
-
-def _enumerate_cycle(start, mu, bound, constraints):
-    """All consistent (mo vector, eta ranks) pairs derivable from one cycle.
-
-    In the cycle every term rank is the sum of the two adjacent image ranks,
-    so the four eta image ranks and the four c/r splits at the MU terms
-    determine the whole mo vector.  They are chosen depth first in the order
-    eta_0, c_0, eta_1, c_1, ..., and each MO term is checked against the rank
-    bound, the known ranks and the rank bounds as soon as its two image ranks
-    are fixed; arrow facts are checked once all of them are.
-    """
-    segs = _core_cycle(start)
-    known, caps = constraints.known_mo, constraints.mo_bounds
-    lo = [known.get(q, 0) for q in range(8)]
-    hi = [min(bound, caps.get(q, bound), known.get(q, bound)) for q in range(8)]
-    results = {}
-
-    def allowed(q, base, top):
-        """The x in 0..top with lo[q] <= base + x <= hi[q]."""
-        return range(max(0, lo[q] - base), min(top, hi[q] - base) + 1)
-
-    def leaf(etas, cs):
-        mo = {}
-        for t, s in enumerate(segs):
-            mo[(s + 1) % 8] = etas[t] + cs[t]
-            mo[segs[(t + 1) % 4]] = (mu[s] - cs[t]) + etas[(t + 1) % 4]
-        for t, s in enumerate(segs):
-            for arrow, v, src_rank, tgt_rank in (
-                    (("eta", s), etas[t], mo[s], mo[(s + 1) % 8]),
-                    (("c", s), cs[t], mo[(s + 1) % 8], mu[s]),
-                    (("r", s), mu[s] - cs[t], mu[s], mo[(s - 2) % 8])):
-                fact = constraints.arrows.get(arrow)
-                if fact and not _arrow_fact_ok(fact, v, src_rank, tgt_rank):
-                    return
-        key = tuple(mo[q] for q in range(8))
-        results.setdefault(key, []).append(dict(zip(segs, etas)))
-
-    def descend(etas, cs):
-        t = len(etas)
-        if t == 4:
-            if lo[segs[0]] <= (mu[segs[3]] - cs[3]) + etas[0] <= hi[segs[0]]:
-                leaf(etas, cs)
-            return
-        s = segs[t]
-        for eta in allowed(s, mu[segs[t - 1]] - cs[t - 1], bound) if t else range(bound + 1):
-            for c in allowed((s + 1) % 8, eta, mu[s]):
-                descend(etas + (eta,), cs + (c,))
-
-    descend((), ())
-    return results
-
-
 def enumerate_core_solutions(mu_groups, constraints: CoreConstraints | None = None,
                              rank_bound: int = 8):
     """All MO tables consistent with exactness of the 24-term core sequence.
 
-    Works purely with Z_2-ranks: each arrow gets an image-rank variable, and
-    exactness says adjacent image ranks sum to the rank of the term between
-    them.  Because MO consists of images of eta and eta cubes to zero,
-    consecutive eta' arrows also compose to zero, giving the cross-cycle
-    constraint rank(eta'_i) + rank(eta'_{i+1}) <= rank(MO_{i+1}).
-    Returns the solutions sorted lexicographically; raises NoSolution when
-    the constraints are inconsistent.
+    Works with Z_2-ranks.  Write eta_m and c_m for the image ranks of
+    eta'_m: MO_m -> MO_{m+1} and c'_m: MO_{m+1} -> MU_m, so r'_m has image
+    rank mu_m - c_m.  Exactness at MO_m reads
+    MO_m = eta_{m-1} + c_{m-1} = (mu_{m+2} - c_{m+2}) + eta_m, and since
+    consecutive eta' arrows compose to zero, eta_{m-1} + eta_m <= MO_m, that
+    is eta_m <= c_{m-1}.  The search picks c_7, c_0, c_1 and eta_0 <= c_7;
+    then at MO_m each choice of c_{m+2} fixes eta_m and MO_m, and a branch
+    survives only while 0 <= eta_m <= c_{m-1} and MO_m meets the rank bound
+    and the constraints; a table is kept when MO_0 = eta_7 + c_7 closes the
+    sequence.  Every loop runs over the MU ranks, so the rank bound only
+    filters.  Returns the solutions sorted lexicographically; raises
+    NoSolution when the constraints are inconsistent.
     """
     if constraints is None:
         constraints = CoreConstraints()
     mu = _mu_ranks(mu_groups)
-    for q, rank in constraints.known_mo.items():
+    known, caps = constraints.known_mo, constraints.mo_bounds
+    for q, rank in known.items():
         if rank > rank_bound:
             raise BoundExceeded(f"known MO_{q} rank {rank} exceeds bound {rank_bound}")
-    side_a = _enumerate_cycle(0, mu, rank_bound, constraints)
-    side_b = _enumerate_cycle(1, mu, rank_bound, constraints)
-    solutions = []
-    for mo_vec, eta_sets_a in side_a.items():
-        if mo_vec not in side_b:
-            continue
-        found = False
-        for eta_a in eta_sets_a:
-            for eta_b in side_b[mo_vec]:
-                etas = {**eta_a, **eta_b}
-                if all(etas[i] + etas[(i + 1) % 8] <= mo_vec[(i + 1) % 8]
-                       for i in range(8)):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            solutions.append(mo_vec)
-    if not solutions:
+    lo = [known.get(q, 0) for q in range(8)]
+    hi = [min(rank_bound, caps.get(q, rank_bound), known.get(q, rank_bound))
+          for q in range(8)]
+    c = [0] * 8
+    found = set()
+
+    def descend(m, eta, mo):
+        """MO_0..MO_{m-1} are ``mo``, eta_{m-1} is ``eta``, c_7 and c_0..c_{m+1} are set."""
+        rank = eta + c[m - 1]
+        if m == 8:
+            if rank == mo[0]:
+                found.add(mo)
+            return
+        if not lo[m] <= rank <= hi[m]:
+            return
+        j = (m + 2) % 8
+        for c[j] in range(mu[j] + 1) if m < 5 else (c[j],):
+            eta_m = rank - mu[j] + c[j]
+            if 0 <= eta_m <= c[m - 1]:
+                descend(m + 1, eta_m, mo + (rank,))
+
+    for c[7], c[0], c[1], c[2] in _cartesian(*(range(mu[q] + 1) for q in (7, 0, 1, 2))):
+        for eta in range(c[7] + 1):
+            rank = mu[2] - c[2] + eta
+            if lo[0] <= rank <= hi[0]:
+                descend(1, eta, (rank,))
+    if not found:
         raise NoSolution("no MO table satisfies the core constraints")
-    solutions.sort()
     return [tuple(FgAbGroup.from_invariants([2] * r) for r in vec)
-            for vec in solutions]
+            for vec in sorted(found)]
 
 
 def derive_core_constraints(assemblies) -> CoreConstraints:

@@ -41,11 +41,11 @@ from kktheory.abelian import (
     smith_normal_form,
     trivial_group,
     _combine,
+    _vanishes_in,
 )
 from kktheory.crmodule import build_graded_group, build_rho
 from kktheory.kgraph import KGraphSpec, VertexPartition, validate
 from kktheory.koszul import GradedChainComplex, index_tuples
-from kktheory.spectral import _arrow_fact_ok, _core_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +100,31 @@ def compose(f: GroupHom, g: GroupHom) -> GroupHom:
     return GroupHom(g.source, f.target, f.matrix @ g.matrix)
 
 
+def matrix_is_zero(m: IntMatrix) -> bool:
+    return not any(any(row) for row in m.data)
+
+
+def hom_is_zero(f: GroupHom) -> bool:
+    """Every column of the matrix vanishes modulo the target relations."""
+    return _vanishes_in(f.target, f.matrix.data)
+
+
+def hom_add(f: GroupHom, g: GroupHom) -> GroupHom:
+    if not (same_presentation(f.source, g.source)
+            and same_presentation(f.target, g.target)):
+        raise ValueError("sum of homs with different endpoints")
+    return GroupHom(f.source, f.target, f.matrix + g.matrix)
+
+
+def hom_neg(f: GroupHom) -> GroupHom:
+    return GroupHom(f.source, f.target, -f.matrix)
+
+
 def hom_equals(f: GroupHom, g: GroupHom) -> bool:
     """Same endpoints, and the two matrices agree modulo the target relations."""
     return (same_presentation(f.source, g.source)
             and same_presentation(f.target, g.target)
-            and (f + (-g)).is_zero())
+            and hom_is_zero(hom_add(f, hom_neg(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +646,7 @@ def injective_variants_by_homs(source: FgAbGroup, target: FgAbGroup):
     |target| / |source| elements."""
     out = []
     for hom, coker in _cokernels(source, target):
-        if (not hom.is_zero() and coker.order() * source.order() == target.order()
+        if (not matrix_is_zero(hom) and coker.order() * source.order() == target.order()
                 and coker not in out):
             out.append(coker)
     return out
@@ -634,50 +654,25 @@ def injective_variants_by_homs(source: FgAbGroup, target: FgAbGroup):
 
 def enumerate_cycle_by_sweep(start, mu, bound, constraints):
     """The full sweep of one core cycle: every choice of the four eta image
-    ranks and the four c/r splits, each checked in full."""
-    segs = _core_cycle(start)
+    ranks and the four c/r splits, each checked in full.  The cycle from
+    MO_start passes the MU terms start, start - 2, start - 4, start - 6."""
+    segs = [(start - 2 * t) % 8 for t in range(4)]
     results = {}
     eta_range = range(bound + 1)
     c_ranges = [range(mu[s] + 1) for s in segs]
     for etas in cartesian(*([eta_range] * 4)):
         for cs in cartesian(*c_ranges):
             mo = {}
-            ok = True
             for t, s in enumerate(segs):
                 mo[(s + 1) % 8] = etas[t] + cs[t]
                 nxt = segs[(t + 1) % 4]
                 mo[nxt] = (mu[s] - cs[t]) + etas[(t + 1) % 4]
-            for q, rank in mo.items():
-                if rank > bound:
-                    ok = False
-                    break
-                if q in constraints.known_mo and constraints.known_mo[q] != rank:
-                    ok = False
-                    break
-                if q in constraints.mo_bounds and rank > constraints.mo_bounds[q]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for t, s in enumerate(segs):
-                v_eta, v_c = etas[t], cs[t]
-                v_r = mu[s] - cs[t]
-                fact = constraints.arrows.get(("eta", s))
-                if fact and not _arrow_fact_ok(fact, v_eta, mo[s], mo[(s + 1) % 8]):
-                    ok = False
-                    break
-                fact = constraints.arrows.get(("c", s))
-                if fact and not _arrow_fact_ok(fact, v_c, mo[(s + 1) % 8], mu[s]):
-                    ok = False
-                    break
-                fact = constraints.arrows.get(("r", s))
-                if fact and not _arrow_fact_ok(fact, v_r, mu[s], mo[(s - 2) % 8]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            key = tuple(mo[q] for q in range(8))
-            results.setdefault(key, []).append({s: e for s, e in zip(segs, etas)})
+            if all(rank <= bound
+                   and constraints.known_mo.get(q, rank) == rank
+                   and rank <= constraints.mo_bounds.get(q, rank)
+                   for q, rank in mo.items()):
+                key = tuple(mo[q] for q in range(8))
+                results.setdefault(key, []).append({s: e for s, e in zip(segs, etas)})
     return results
 
 
@@ -856,5 +851,5 @@ def verify_square_zero(cx: GradedChainComplex) -> SquareZeroReport:
     checks = []
     for p in range(1, cx.k + 1):
         composite = compose(cx.boundary(p), cx.boundary(p + 1))
-        checks.append(SquareZeroCheck(position=p, passed=composite.is_zero()))
+        checks.append(SquareZeroCheck(position=p, passed=hom_is_zero(composite)))
     return SquareZeroReport(tuple(checks))

@@ -1,11 +1,13 @@
 import pathlib
 import random
+import signal
 from itertools import combinations
 
 import pytest
 
 from kktheory import abelian
 from kktheory.abelian import (
+    BoundExceeded,
     FgAbGroup,
     GroupHom,
     IntMatrix,
@@ -23,7 +25,6 @@ from kktheory.spectral import (
     DifferentialEntry,
     DifferentialReport,
     NoSolution,
-    _enumerate_cycle,
     _injective_variants,
     assemble_diagonals,
     compute_e2,
@@ -599,30 +600,75 @@ def test_injective_variant_labels_follow_sorted_cokernels():
         "d2=0", "d2!=0 (1)", "d2!=0 (2)"]
 
 
-def _random_core_constraints(rng):
+def _random_core_constraints(rng, table=None):
+    """Known ranks and rank bounds on random terms, read off ``table`` when
+    one is given (bounds then sit within 1 of the table's ranks)."""
     cons = CoreConstraints()
     for q in range(8):
         roll = rng.random()
         if roll < 0.25:
-            cons.known_mo[q] = rng.randint(0, 3)
+            cons.known_mo[q] = rng.randint(0, 3) if table is None else table[q]
         elif roll < 0.5:
-            cons.mo_bounds[q] = rng.randint(0, 4)
-    for _ in range(rng.randint(0, 3)):
-        arrow = (rng.choice(["eta", "c", "r"]), rng.randrange(8))
-        cons.arrows[arrow] = rng.choice(["zero", "injective", "surjective"])
+            cons.mo_bounds[q] = (rng.randint(0, 4) if table is None
+                                 else max(0, table[q] + rng.randint(-1, 1)))
     return cons
 
 
-def test_pruned_core_search_matches_the_full_sweep():
-    """Same MO vectors with the same eta-rank sets, for both cycles."""
-    rng = random.Random(11)
-    bounds = [3, 4] * 10 + [8]
-    for trial, bound in enumerate(bounds):
-        mu = [rng.randint(0, 2) for _ in range(8)]
-        cons = _random_core_constraints(rng)
-        for start in (0, 1):
-            fast = _enumerate_cycle(start, mu, bound, cons)
-            slow = enumerate_cycle_by_sweep(start, mu, bound, cons)
-            assert {key: sorted(sorted(e.items()) for e in etas) for key, etas in fast.items()} \
-                == {key: sorted(sorted(e.items()) for e in etas) for key, etas in slow.items()}, \
-                (trial, start, mu, bound, cons)
+def _core_tables_by_sweep(mu, bound, cons):
+    return sorted(mo for mo in enumerate_cycle_by_sweep(0, mu, bound, cons)
+                  if core_table_consistent(list(mo), mu))
+
+
+def test_core_search_matches_the_full_sweep():
+    """The sweep of one cycle, each table rechecked over both cycles, is the
+    oracle; NoSolution is raised exactly when it finds nothing.  MU repeats
+    with period 4 in every other case, as ``compute_mu`` returns it, and
+    those cases draw their constraints from a table the unconstrained search
+    finds, so that most of them have a solution."""
+    rng = random.Random(3)
+    solved = 0
+    for trial in range(30):
+        mu = [rng.randint(0, 3) for _ in range(4 if trial % 2 else 8)]
+        mu = (mu * 2)[:8]
+        bound = rng.randint(2, 5)
+        groups = [FgAbGroup.from_invariants([2] * r) for r in mu]
+        table = None
+        if trial % 2:
+            try:
+                table = ranks(rng.choice(enumerate_core_solutions(groups, None, bound)))
+            except NoSolution:
+                pass
+        cons = _random_core_constraints(rng, table)
+        if any(rank > bound for rank in cons.known_mo.values()):
+            with pytest.raises(BoundExceeded):
+                enumerate_core_solutions(groups, cons, bound)
+            continue
+        expected = _core_tables_by_sweep(mu, bound, cons)
+        if expected:
+            solved += 1
+            assert [ranks(t) for t in enumerate_core_solutions(groups, cons, bound)] \
+                == expected, (trial, mu, bound, cons)
+        else:
+            with pytest.raises(NoSolution):
+                enumerate_core_solutions(groups, cons, bound)
+    assert solved >= 10
+
+
+def test_core_rank_bound_only_filters():
+    """Every loop of the search runs over MU ranks, so a huge rank bound
+    finds the same tables as a small one, at no extra cost."""
+    def too_slow(signum, frame):
+        raise TimeoutError("the core search grows with the rank bound")
+
+    mu = [FgAbGroup.from_invariants([2, 2])] * 8
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        small = enumerate_core_solutions(mu, CoreConstraints(), rank_bound=8)
+        huge = enumerate_core_solutions(mu, CoreConstraints(), rank_bound=10**9)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(small) == 366 and huge == small
+    for table in small:
+        assert core_table_consistent(list(ranks(table)), [2] * 8)
