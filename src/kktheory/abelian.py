@@ -10,9 +10,12 @@ ever touches floating point, so results are exact at any size.  The pieces:
   ``smith_diagonal`` computes the diagonal alone: pivots +-1 first, over Z,
   then lazily scaled Bareiss elimination on what they leave for one nonzero
   minor D, then the rest modulo D.  By Sylvester's identity no intermediate
-  entry exceeds the Hadamard bound.  Nothing is memoized across calls: a
-  boundary keeps its diagonal (``GroupHom.smith_diagonal``) and a homology
-  cell the decomposition of its kernel lattice.
+  entry exceeds the Hadamard bound.  ``annihilated_smith_diagonal`` needs
+  no minor: given the rank and a multiple of every nonzero invariant factor
+  (a Koszul complex's annihilator, see ``koszul``), it works modulo that.
+  Nothing is memoized across calls: a boundary keeps its diagonal
+  (``GroupHom.smith_diagonal``) and a homology cell the decomposition of
+  its kernel lattice.
 * ``FgAbGroup`` -- a finitely generated abelian group Z^n modulo one modulus
   per coordinate (0 for a free coordinate), carrying its canonical
   invariant-factor decomposition.  Every group of the calculator has this
@@ -26,8 +29,9 @@ ever touches floating point, so results are exact at any size.  The pieces:
   in canonical form together with ambient lifts of its generators, so that
   maps induced on homology can be computed afterwards (``induced_hom``).
   Every group is read from bounded Smith diagonals of a complex of free
-  modules with the same homology; a cell's kernel lattice and lifts are
-  built only when asked for.
+  modules with the same homology, or is 0 outright when the caller knows
+  the annihilator 1; a cell's kernel lattice and lifts are built only when
+  asked for.
 * ``extension_candidates`` -- the isomorphism classes of finite abelian groups
   admitting a given subgroup with a given quotient, read prime by prime by the
   Hall / Littlewood-Richardson criterion.
@@ -377,6 +381,31 @@ def smith_diagonal(m: IntMatrix) -> tuple:
     ideals = [gcd(e, minor) for e in _diagonal_mod(rest, minor)]
     ideals += [minor] * (rank - units - len(ideals))
     return ones + tuple(_divisibility_chain(ideals)[:rank - units]) + zeros
+
+
+def annihilated_smith_diagonal(m: IntMatrix, rank: int, modulus: int) -> tuple:
+    """The Smith diagonal of ``m``, given its rank and a ``modulus`` >= 1
+    that every nonzero invariant factor divides.
+
+    No minor is computed: ``m`` is diagonalized over Z/modulus as in
+    ``smith_diagonal``, each entry e read as gcd(e, modulus), padded with
+    ``modulus`` to ``rank`` entries and sorted into a divisibility chain.
+    Over Z/modulus, m is equivalent to diag(d_1, ..., d_rank, 0, ...), so
+    the chain is d_1, ..., d_rank followed by ``modulus`` alone.  The cut
+    at the rank comes after the chain, because modulo a composite modulus
+    there can be more nonzero residues than the rank: diag(2, 3) is
+    diag(1, 6) modulo 6.  Raises RuntimeError if an entry past the rank is
+    not ``modulus``, as a wrong rank or modulus can show.
+    """
+    zeros = (0,) * (min(m.rows, m.cols) - rank)
+    if modulus == 1:
+        return (1,) * rank + zeros
+    ideals = [gcd(e, modulus) for e in _diagonal_mod(m.data, modulus)]
+    chain = _divisibility_chain(ideals + [modulus] * (rank - len(ideals)))
+    if any(e != modulus for e in chain[rank:]):
+        raise RuntimeError(f"a matrix of rank {rank} has invariant factors "
+                           f"{chain} modulo {modulus}")
+    return tuple(chain[:rank]) + zeros
 
 
 def _rank_and_minor(m: IntMatrix):
@@ -780,9 +809,11 @@ def _lattice_homology(boundary_in: IntMatrix, middle: FgAbGroup, d_out: GroupHom
     return group, _LatticeData(lattice, lattice_snf, lift, s.u, diag, tuple(kept))
 
 
-def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix) -> FgAbGroup:
+def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix,
+                       diagonals: tuple | None = None) -> FgAbGroup:
     """The homology group of S -A-> M -B-> N from bounded Smith diagonals;
-    ``composite`` is the matrix of B A.
+    ``composite`` is the matrix of B A, and ``diagonals``, when given, are
+    the Smith diagonals of A and B for free M and N.
 
     With M = Z^n / diag(mu), N = Z^m / diag(nu), their relation columns R_M
     and R_N, and T the coordinates with nu_i != 0, the cell has the homology
@@ -807,7 +838,8 @@ def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix) ->
         dim = n - sum(1 for e in d_out.smith_diagonal + d_in.smith_diagonal if e % 2)
         return FgAbGroup.from_invariants([2] * dim)
     if middle | target <= {0}:
-        diag_in, rank_out = d_in.smith_diagonal, sum(1 for e in d_out.smith_diagonal if e)
+        diag_in, diag_out = diagonals or (d_in.smith_diagonal, d_out.smith_diagonal)
+        rank_out = sum(1 for e in diag_out if e)
     else:
         mu, nu, b = d_in.target.moduli, d_out.target.moduli, d_out.matrix.data
         kept = [j for j in range(n) if mu[j]]
@@ -822,20 +854,27 @@ def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix) ->
     return FgAbGroup.from_invariants([e for e in diag_in if e >= 2], rank)
 
 
-def homology(d_in: GroupHom, d_out: GroupHom) -> HomologyResult:
+def homology(d_in: GroupHom, d_out: GroupHom, annihilator: int = 0,
+             diagonals: tuple | None = None) -> HomologyResult:
     """Homology at the middle of ``. -> middle -> .`` with generator lifts.
 
     Raises CompositionNotZero unless d_out o d_in vanishes as a map of
     presented groups.  The group is read from Smith diagonals with bounded
     entries (``_diagonal_homology``); the kernel lattice and the lifts are
-    built only when asked for.
+    built only when asked for.  A caller that knows more may pass it: an
+    ``annihilator`` g with g H = 0 (0 when none is known), so that g = 1
+    gives 0 at once, and, for a free middle and target, the Smith
+    ``diagonals`` of d_in and d_out, read in place of the boundaries' own.
     """
     if not same_presentation(d_in.target, d_out.source):
         raise ValueError("middle groups of the two boundary maps differ")
     composite = d_out.matrix @ d_in.matrix
     if not _vanishes_in(d_out.target, composite.data):
         raise CompositionNotZero("boundary maps do not compose to zero")
-    group = _diagonal_homology(d_in, d_out, composite)
+    if annihilator == 1:
+        group = trivial_group()
+    else:
+        group = _diagonal_homology(d_in, d_out, composite, diagonals)
     return HomologyResult(group, d_in.target, d_in.matrix, d_out)
 
 

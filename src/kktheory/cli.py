@@ -185,7 +185,7 @@ def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
             inter[f"{part}/{j}"] = {
                 "groups": [g.describe() for g in cx.groups],
                 "boundaries": [b.matrix.tolist() for b in cx.boundaries],
-                "snf_diagonals": [list(b.smith_diagonal) for b in cx.boundaries],
+                "snf_diagonals": [list(cx.diagonal(p)) for p in range(1, cx.k + 1)],
             }
         doc["intermediate"] = inter
 

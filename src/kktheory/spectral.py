@@ -2,10 +2,13 @@
 
 The E2 page is the homology of the degree-graded chain complexes; it is
 8-periodic vertically in the real part and 2-periodic in the complex part,
-and vanishes outside columns 0..k.  Differentials d^r for 2 <= r <= k are not
-determined by the data in scope, so this module never guesses one: it reports
-every position where a nonzero d^r is degree-possible, and for each affected
-diagonal emits both the d^r = 0 and the d^r != 0 outcomes, labelled with r.
+and vanishes outside columns 0..k.  Each complex carries its annihilator
+g = gcd_c |det rho^c|: g = 1 makes every cell 0 without a Smith form, and a
+free complex with g >= 2 reads its boundary diagonals modulo g (``koszul``).
+Differentials d^r for 2 <= r <= k are not determined by the data in scope,
+so this module never guesses one: it reports every position where a nonzero
+d^r is degree-possible, and for each affected diagonal emits both the
+d^r = 0 and the d^r != 0 outcomes, labelled with r.
 K-groups are assembled per diagonal up to the reported ambiguities; extension
 problems are resolved only to the set of all candidate groups, read from
 Hall's theorem.
@@ -19,7 +22,8 @@ a 24-term periodic exact sequence
 which the solver enumerates at the level of Z_2-ranks by one depth-first
 search over the c/r splits at the eight MU terms: each split fixes an eta
 rank and an MO rank by exactness, so every loop is bounded by the MU ranks
-and the MO rank bound only filters.
+and the MO rank bound only filters.  A search that the bound alone left
+without a table raises BoundExceeded; NoSolution means no bound helps.
 
 ``run_pipeline`` is the one pass over a k-graph: validation and the E2 page
 (``compute_e2``), the differential report, both diagonal assemblies, KU with
@@ -89,6 +93,10 @@ def compute_e2(spec: KGraphSpec) -> E2Page:
     cells.  Real degrees 3, 5 and 7 always are; so are real 0, 4 and complex
     0 when no vertex is paired, and real 2 and 6 when none is fixed.  Its
     ``part`` and ``degree`` name the first degree built.
+
+    Each cell gets its complex's annihilator g, so that g = 1 gives 0 at
+    once, and a free complex's cells get its boundaries' Smith diagonals,
+    read modulo g when g != 0 (see ``koszul``).
     """
     partition = validate(spec)
     graded = build_graded_group(partition)
@@ -101,7 +109,9 @@ def compute_e2(spec: KGraphSpec) -> E2Page:
             cx = build_complex(spec, j, part, partition, graded, rhos)
             key = tuple((b.source.moduli, b.target.moduli, b.matrix) for b in cx.boundaries)
             if key not in seen:
-                seen[key] = (cx, [homology(cx.boundary(p + 1), cx.boundary(p))
+                seen[key] = (cx, [homology(cx.boundary(p + 1), cx.boundary(p), cx.annihilator,
+                                           (cx.diagonal(p + 1), cx.diagonal(p))
+                                           if cx.is_free else None)
                                   for p in range(spec.k + 1)])
             complexes[(part, j)], column = seen[key]
             cells.update(((part, p, j), h) for p, h in enumerate(column))
@@ -414,21 +424,53 @@ def enumerate_core_solutions(mu_groups, constraints: CoreConstraints | None = No
     survives only while 0 <= eta_m <= c_{m-1} and MO_m meets the rank bound
     and the constraints; a table is kept when MO_0 = eta_7 + c_7 closes the
     sequence.  Every loop runs over the MU ranks, so the rank bound only
-    filters.  Returns the solutions sorted lexicographically; raises
-    NoSolution when the constraints are inconsistent.
+    filters.  Returns the solutions sorted lexicographically.
+
+    Every table has MO_m <= mu_{m-1} + mu_{m+2}, since
+    MO_m = (mu_{m+2} - c_{m+2}) + eta_m and eta_m <= c_{m-1} <= mu_{m-1};
+    so a rank bound of max_m (mu_{m-1} + mu_{m+2}) cuts nothing.  When the
+    search finds no table after the rank bound alone cut a branch, it is
+    rerun under that bound: if it then finds tables, BoundExceeded names
+    the least bound that admits one.  NoSolution means the constraints are
+    inconsistent at any bound.
     """
     if constraints is None:
         constraints = CoreConstraints()
     mu = _mu_ranks(mu_groups)
-    known, caps = constraints.known_mo, constraints.mo_bounds
+    known = constraints.known_mo
     for q, rank in known.items():
         if rank > rank_bound:
             raise BoundExceeded(f"known MO_{q} rank {rank} exceeds bound {rank_bound}")
+    found, truncated = _core_tables(mu, constraints, rank_bound)
+    if not found and truncated:
+        wider, _ = _core_tables(mu, constraints,
+                                max(mu[m - 1] + mu[(m + 2) % 8] for m in range(8)))
+        if wider:
+            raise BoundExceeded(f"no MO table has every rank within the core bound "
+                                f"{rank_bound}; the least bound that admits one is "
+                                f"{min(max(vec) for vec in wider)}")
+    if not found:
+        raise NoSolution("no MO table satisfies the core constraints")
+    return [tuple(FgAbGroup.from_invariants([2] * r) for r in vec)
+            for vec in sorted(found)]
+
+
+def _core_tables(mu, constraints, rank_bound):
+    """The search of ``enumerate_core_solutions``: the rank vectors it finds,
+    and whether the rank bound alone cut a branch."""
+    known, caps, inf = constraints.known_mo, constraints.mo_bounds, float("inf")
     lo = [known.get(q, 0) for q in range(8)]
-    hi = [min(rank_bound, caps.get(q, rank_bound), known.get(q, rank_bound))
-          for q in range(8)]
+    hi = [min(caps.get(q, inf), known.get(q, inf)) for q in range(8)]
     c = [0] * 8
     found = set()
+    truncated = False
+
+    def admits(m, rank):
+        nonlocal truncated
+        if not lo[m] <= rank <= hi[m]:
+            return False
+        truncated |= rank > rank_bound
+        return rank <= rank_bound
 
     def descend(m, eta, mo):
         """MO_0..MO_{m-1} are ``mo``, eta_{m-1} is ``eta``, c_7 and c_0..c_{m+1} are set."""
@@ -437,7 +479,7 @@ def enumerate_core_solutions(mu_groups, constraints: CoreConstraints | None = No
             if rank == mo[0]:
                 found.add(mo)
             return
-        if not lo[m] <= rank <= hi[m]:
+        if not admits(m, rank):
             return
         j = (m + 2) % 8
         for c[j] in range(mu[j] + 1) if m < 5 else (c[j],):
@@ -448,12 +490,9 @@ def enumerate_core_solutions(mu_groups, constraints: CoreConstraints | None = No
     for c[7], c[0], c[1], c[2] in _cartesian(*(range(mu[q] + 1) for q in (7, 0, 1, 2))):
         for eta in range(c[7] + 1):
             rank = mu[2] - c[2] + eta
-            if lo[0] <= rank <= hi[0]:
+            if admits(0, rank):
                 descend(1, eta, (rank,))
-    if not found:
-        raise NoSolution("no MO table satisfies the core constraints")
-    return [tuple(FgAbGroup.from_invariants([2] * r) for r in vec)
-            for vec in sorted(found)]
+    return found, truncated
 
 
 def derive_core_constraints(assemblies) -> CoreConstraints:

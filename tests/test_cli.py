@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import pathlib
 import random
@@ -128,12 +129,33 @@ def test_extension_bound_exit_code(tmp_path):
     assert "BoundExceeded" in err
 
 
-def test_core_bound_too_small_is_a_computation_error(tmp_path):
-    # (3,3) forces a rank-2 MO entry, so a rank bound of 1 has no solution
+def test_core_bound_too_small_exits_4_naming_the_least_bound(tmp_path):
+    # (3,3) forces a rank-2 MO entry, so a rank bound of 1 cuts every table:
+    # the search was truncated, which is not an inconsistency
     path = write_input(tmp_path, "ov.json", one_vertex_doc(3, 3))
-    code, _, err = run_cli(["compute", path, "--core-bound", "1"])
-    assert code == 3
-    assert "NoSolution" in err
+    code, out, err = run_cli(["compute", path, "--core-bound", "1"])
+    assert (code, out) == (4, "")
+    assert err == ("BoundExceeded: no MO table has every rank within the core bound 1; "
+                   "the least bound that admits one is 2\n")
+    assert run_cli(["compute", path, "--core-bound", "2"])[0] == 0
+
+
+@pytest.mark.parametrize("core_bound, code", [("8", 4), ("12", 0)])
+def test_truncated_core_search_is_a_bound_error(tmp_path, core_bound, code):
+    # scan input (2,6,2): every MU_q is Z_2^6 and every MO table has a rank-12
+    # entry, so the default core bound truncates the search; it once exited 3
+    # with NoSolution
+    path = write_input(tmp_path, "r262.json", random_doc(2, 6, 2))
+    got, out, err = run_cli(["compute", path, "--ext-bound", "100000000000",
+                             "--core-bound", core_bound])
+    assert got == code, err
+    if code == 4:
+        assert out == "" and err == (
+            "BoundExceeded: no MO table has every rank within the core bound 8; "
+            "the least bound that admits one is 12\n")
+    else:
+        assert err == "" and "MO_3=Z_2 + Z_2 + Z_2 + Z_2 + Z_2 + Z_2 + Z_2 + Z_2 + Z_2 + " \
+            "Z_2 + Z_2 + Z_2" in out
 
 
 def test_infinite_cells_surface_as_computation_error(tmp_path):
@@ -200,6 +222,16 @@ def test_sample_outputs_match_golden_snapshots(name, snapshot, flags):
     code, out, err = run_cli(["compute", str(path)] + flags)
     assert code == 0 and err == ""
     assert out == (here / "data" / f"{name}.{snapshot}").read_text(encoding="utf-8")
+
+
+def test_seven_colour_sample_matches_its_golden_report():
+    # random_valid_spec(random.Random(0), 7, 6), the scale guard for growth
+    # in k: its six nonzero complexes hold 42 boundaries of up to 210 x 210,
+    # half of them with no entry +-1
+    here = pathlib.Path(__file__).parent
+    code, out, err = run_cli(["compute", str(here.parent / "sample_inputs" / "random_k7_v6_s0.json")])
+    assert (code, err) == (0, "")
+    assert out == (here / "data" / "random_k7_v6_s0.txt").read_text(encoding="utf-8")
 
 
 def test_render_text_matches_analyze(tmp_path):
@@ -298,6 +330,37 @@ def test_a_text_run_builds_no_lattice_where_no_lift_is_read(tmp_path, monkeypatc
     assert err.getvalue() == ""
 
 
+@pytest.mark.parametrize("k, nv, seed", [
+    (7, 6, 0), (4, 6, 12), (4, 5, 14), (4, 4, 2), (4, 6, 13),
+    (4, 5, 6), (4, 4, 15), (3, 6, 13), (3, 4, 14)])
+def test_free_complexes_with_an_annihilator_take_no_minor_of_a_boundary(
+        tmp_path, monkeypatch, k, nv, seed):
+    # the ladder input (7,6) and the benchmark's lattice inputs: where a free
+    # complex has g != 0 its diagonals are read modulo g, with ranks from
+    # exactness, so no Bareiss minor of its boundaries is taken
+    pages, seen = [], []
+    e2, rank_and_minor = spectral.compute_e2, abelian._rank_and_minor
+
+    def keep_page(spec):
+        pages.append(e2(spec))
+        return pages[-1]
+
+    def recording(m):
+        seen.append(m)
+        return rank_and_minor(m)
+
+    monkeypatch.setattr(spectral, "compute_e2", keep_page)
+    monkeypatch.setattr(abelian, "_rank_and_minor", recording)
+    path = write_input(tmp_path, "in.json", spec_doc(random_valid_spec(random.Random(seed), k, nv)))
+    assert run(JobConfig(input_path=path), stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    # equal matrices are told apart by identity: the empty boundaries of a
+    # zero complex equal the 0 x 0 maps that MU reads when KU = 0
+    fast = {id(b.matrix) for cx in pages[0].complexes.values()
+            if cx.is_free and cx.annihilator for b in cx.boundaries}
+    assert fast
+    assert not fast & {id(m) for m in seen}
+
+
 def swap_doc(**fields):
     # one colour on two swapped vertices
     doc = {"k": 1, "vertices": ["a", "b"], "involution": [1, 0],
@@ -355,3 +418,32 @@ def test_one_run_validates_and_reports_once(monkeypatch):
     code = run(JobConfig(input_path=str(sample)), stdout=io.StringIO(), stderr=io.StringIO())
     assert code == 0
     assert calls == {"validate": 1, "differential_report": 1}
+
+
+COLOUR_INPUTS = [
+    ("one-vertex-3-5", one_vertex_doc(3, 5)),
+    ("one-vertex-4-6", one_vertex_doc(4, 6)),
+    ("one-vertex-5-5", one_vertex_doc(5, 5)),
+    ("symmetric-2", symmetric_doc(2)),
+    ("asymmetric-4", {"k": 2, "vertices": ["v1", "v2", "v3"], "involution": [0, 2, 1],
+                      "matrices": [[[1, 1, 1], [1, 0, 3], [1, 3, 0]],
+                                   [[1, 1, 1], [1, 3, 0], [1, 0, 3]]]}),
+] + [(f"random-{k}-{nv}-{seed}", random_doc(k, nv, seed)) for k, nv, seed in (
+    # nonzero pages, ambiguous KU, d3 variants, a bound error and an
+    # infinite extension among them
+    (3, 4, 3), (3, 4, 14), (3, 5, 7), (3, 6, 0), (3, 6, 13), (4, 4, 2), (4, 4, 3),
+    (4, 4, 15), (4, 5, 1), (4, 5, 6), (4, 5, 14), (4, 6, 3), (4, 6, 12), (4, 6, 13))]
+
+
+@pytest.mark.parametrize("name, doc", COLOUR_INPUTS, ids=[n for n, _ in COLOUR_INPUTS])
+def test_colour_permutations_leave_the_report_unchanged(tmp_path, name, doc):
+    # the E2 page is the homology of the Koszul complex of the rho maps, which
+    # does not depend on their order, and nothing after it names a colour
+    k = doc["k"]
+    perms = [p for p in itertools.permutations(range(k)) if p != tuple(range(k))]
+    random.Random(name).shuffle(perms)
+    base = run_cli(["compute", write_input(tmp_path, "base.json", doc)])
+    for perm in perms[:3]:
+        permuted = dict(doc, matrices=[doc["matrices"][c] for c in perm])
+        code, out, _ = run_cli(["compute", write_input(tmp_path, "perm.json", permuted)])
+        assert (code, out) == base[:2], perm

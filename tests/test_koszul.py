@@ -1,13 +1,27 @@
 import dataclasses
+import functools
 import random
+from itertools import product as cartesian
+from math import gcd
 
 import pytest
 
-from kktheory.abelian import CompositionNotZero, GroupHom, IntMatrix, free_group
+from kktheory.abelian import (
+    CompositionNotZero,
+    GroupHom,
+    IntMatrix,
+    _diagonal_mod,
+    annihilated_smith_diagonal,
+    free_group,
+    homology,
+    smith_diagonal,
+)
 from kktheory.kgraph import KGraphSpec, validate
 from kktheory.koszul import GradedChainComplex, build_complex, index_tuples
+from kktheory.spectral import compute_e2
 
 from helpers import (
+    asymmetric_three_vertex_spec,
     dense_koszul_boundaries,
     from_rows,
     one_vertex_spec,
@@ -173,3 +187,101 @@ def test_square_zero_random_specs_all_degrees():
         for part_name, degrees in (("real", range(8)), ("complex", range(2))):
             for j in degrees:
                 assert verify_square_zero(build_complex(spec, j, part_name, part)).all_passed
+
+
+# ---------------------------------------------------------------------------
+# The annihilator g = gcd_c |det rho^c| of each complex
+# ---------------------------------------------------------------------------
+
+# the benchmark's families and lattice inputs, and the 108-input scan
+FAMILIES = ([one_vertex_spec(m, n) for m, n in ((4, 4), (6, 4), (6, 6), (3, 5), (5, 5), (7, 7))]
+            + [symmetric_three_vertex_spec(n) for n in (2, 3)]
+            + [asymmetric_three_vertex_spec(n) for n in (3, 4)])
+LATTICE = ((4, 6, 12), (4, 5, 14), (4, 4, 2), (4, 6, 13),
+           (4, 5, 6), (4, 4, 15), (3, 6, 13), (3, 4, 14))
+SCAN = tuple(cartesian((2, 3, 4), (4, 5, 6), range(12)))
+
+
+@functools.lru_cache(maxsize=None)
+def annihilator_complexes():
+    """(complex, its E2 cells, the cells' groups read without g) for every
+    distinct complex of the scan, families and lattice inputs."""
+    specs = FAMILIES + [random_valid_spec(random.Random(seed), k, nv)
+                        for k, nv, seed in LATTICE + SCAN]
+    out = []
+    for spec in specs:
+        page = compute_e2(spec)
+        done = set()
+        for (part, j), cx in page.complexes.items():
+            if id(cx) in done:
+                continue
+            done.add(id(cx))
+            cells = [page.cells[(part, p, j)] for p in range(cx.k + 1)]
+            reference = [homology(cx.boundary(p + 1), cx.boundary(p)).group
+                         for p in range(cx.k + 1)]
+            out.append((cx, cells, reference))
+    return out
+
+
+def test_every_cell_is_killed_by_the_annihilator_of_its_complex():
+    # the groups come from the path that does not know g
+    paths = {"g = 1": 0, "free, g >= 2": 0, "other": 0}
+    for cx, _, reference in annihilator_complexes():
+        g = cx.annihilator
+        if g:
+            for h in reference:
+                assert h.is_finite and g % h.exponent() == 0, (cx.part, cx.degree, g, h)
+        if any(not h.is_trivial for h in cx.groups):
+            paths["g = 1" if g == 1 else "free, g >= 2" if g and cx.is_free else "other"] += 1
+    assert all(paths.values()), paths
+
+
+def test_cells_read_through_the_annihilator_match_the_general_path():
+    fast = 0
+    for cx, cells, reference in annihilator_complexes():
+        assert [h.group for h in cells] == reference, (cx.part, cx.degree)
+        fast += cx.annihilator == 1 or (cx.annihilator and cx.is_free)
+    assert fast
+
+
+def test_free_boundary_diagonals_read_modulo_g_are_the_smith_diagonals():
+    # cx.diagonal is what --emit-intermediate prints
+    read = 0
+    for cx, _, _ in annihilator_complexes():
+        if cx.is_free:
+            for p, b in enumerate(cx.boundaries, start=1):
+                assert cx.diagonal(p) == smith_diagonal(b.matrix), (cx.part, cx.degree, p)
+                read += cx.annihilator >= 2
+    assert read
+
+
+def test_composite_annihilator_cuts_the_chain_at_the_rank_after_sorting():
+    # scan input (4,6,3), complex degree 0: g = 79300 = 2^2 5^2 13 61, and the
+    # 24 x 36 boundary d_2 has rank 6 C(3, 1) = 18.  Modulo g it leaves 19
+    # nonzero residues, ending in 4 and 39650; sorted into a chain these are
+    # 2 and 79300 = g, so cutting at 18 before sorting would read a 4
+    cx = build_complex(random_valid_spec(random.Random(3), 4, 6), 0, "complex")
+    b = cx.boundaries[1].matrix
+    assert (cx.annihilator, cx.is_free, b.shape) == (79300, True, (24, 36))
+    residues = sorted(gcd(e, 79300) for e in _diagonal_mod(b.data, 79300))
+    assert len(residues) == 19 and residues[-2:] == [4, 39650]
+    expected = (1,) * 12 + (2,) * 6 + (0,) * 6
+    assert cx.diagonal(2) == smith_diagonal(b) == expected
+
+
+def test_annihilated_diagonal_refuses_a_wrong_rank():
+    m = from_rows([[2, 0], [0, 3]])
+    assert annihilated_smith_diagonal(m, 2, 6) == (1, 6)
+    assert annihilated_smith_diagonal(m, 2, 1) == (1, 1)
+    with pytest.raises(RuntimeError):
+        annihilated_smith_diagonal(from_rows([[2]]), 0, 4)
+
+
+def test_annihilator_of_one_vertex_complexes():
+    # rho^1 = 1 - m and rho^2 = 1 - n, so g = gcd(m - 1, n - 1) on the free
+    # degrees; real degree 1 is Z_2, so there g also divides 2
+    for m, n in ((4, 4), (6, 4), (3, 5), (7, 7)):
+        spec = one_vertex_spec(m, n)
+        assert build_complex(spec, 0, "complex").annihilator == gcd(m - 1, n - 1)
+        assert build_complex(spec, 1, "real").annihilator == gcd(m - 1, n - 1, 2)
+        assert build_complex(spec, 3, "real").annihilator == 1

@@ -654,6 +654,42 @@ def test_core_search_matches_the_full_sweep():
     assert solved >= 10
 
 
+def test_core_search_tells_a_truncated_search_from_no_solution():
+    """Every table has MO_m <= mu_{m-1} + mu_{m+2}, so the sweep at the
+    largest of these bounds is the sweep without a rank bound.  A search
+    that finds nothing raises NoSolution exactly when that sweep is empty,
+    and BoundExceeded, naming the least bound that admits a table,
+    otherwise."""
+    rng = random.Random(11)
+    outcomes = set()
+    for trial in range(30):
+        mu = [rng.randint(0, 2) for _ in range(4)] * 2
+        bound = rng.randint(0, 3)
+        cons = _random_core_constraints(rng) if trial % 2 else CoreConstraints()
+        if any(rank > bound for rank in cons.known_mo.values()):
+            continue
+        groups = [FgAbGroup.from_invariants([2] * r) for r in mu]
+        expected = _core_tables_by_sweep(mu, bound, cons)
+        if expected:
+            outcomes.add("solved")
+            assert [ranks(t) for t in enumerate_core_solutions(groups, cons, bound)] \
+                == expected, (trial, mu, bound, cons)
+            continue
+        wide = _core_tables_by_sweep(
+            mu, max(mu[m - 1] + mu[(m + 2) % 8] for m in range(8)), cons)
+        if wide:
+            outcomes.add("bound")
+            least = min(max(table) for table in wide)
+            with pytest.raises(BoundExceeded, match=f"least bound that admits one is {least}$"):
+                enumerate_core_solutions(groups, cons, bound)
+            assert enumerate_core_solutions(groups, cons, least)
+        else:
+            outcomes.add("none")
+            with pytest.raises(NoSolution):
+                enumerate_core_solutions(groups, cons, bound)
+    assert outcomes == {"solved", "bound", "none"}
+
+
 def test_core_rank_bound_only_filters():
     """Every loop of the search runs over MU ranks, so a huge rank bound
     finds the same tables as a small one, at no extra cost."""
