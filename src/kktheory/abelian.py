@@ -547,8 +547,10 @@ def _xgcd(a, b):
 
 
 def _divisibility_chain(values):
-    """Invariant factors d_1 | d_2 | ... of diag(values), by gcd/lcm swaps."""
+    """Invariant factors d_1 | d_2 | ... of diag(values > 0), by gcd/lcm swaps."""
     chain = sorted(values)
+    if all(b % a == 0 for a, b in zip(chain, chain[1:])):
+        return chain  # by transitivity no swap would change it
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             a, b = chain[i], chain[j]
@@ -685,8 +687,10 @@ class GroupHom:
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match "
                 f"{self.target.ambient_rank}x{self.source.ambient_rank}")
-        # the source relation m_j e_j maps to m_j times column j
         scales = self.source.moduli
+        if not any(scales):  # a free source has no relation to map
+            return
+        # the source relation m_j e_j maps to m_j times column j
         images = ([x * m for x, m in zip(row, scales) if m] for row in self.matrix.data)
         if not _vanishes_in(self.target, images):
             raise NotWellDefined(

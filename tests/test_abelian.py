@@ -351,6 +351,8 @@ def test_hom_certificate_rejects_bad_map():
     with pytest.raises(NotWellDefined):
         GroupHom(z2, z, from_rows([[1]]))
     GroupHom(z, z2, from_rows([[1]]))  # reduction is fine
+    with pytest.raises(ValueError):  # a free source still has its shape checked
+        GroupHom(z, z2, from_rows([[1, 0]]))
 
 
 def test_kernel_lattice_of_doubled_map():

@@ -6,10 +6,13 @@ import random
 import sys
 import time
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from kktheory import abelian, kgraph, spectral
-from kktheory.cli import JobConfig, ParseError, analyze, load_spec, main, render_text, run
+from kktheory.cli import (JobConfig, ParseError, _json_text, analyze, load_spec, main,
+                          render_text, run)
 from kktheory.spectral import compute_e2
 
 from helpers import group_of, random_valid_spec, symmetric_three_vertex_spec
@@ -100,6 +103,27 @@ def test_output_is_deterministic(tmp_path):
         _, first, _ = run_cli(["compute", path, "--format", fmt])
         _, second, _ = run_cli(["compute", path, "--format", fmt])
         assert first == second
+
+
+# non-ASCII, control, quote and backslash characters all need escaping
+json_strings = st.text(st.characters()
+                       | st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9\U0001d11e'))
+json_ints = st.integers() | st.integers(2**64, 2**200) | st.integers(-2**200, -2**64)
+json_values = st.recursive(
+    st.none() | st.booleans() | json_ints | json_strings,
+    lambda inner: (st.lists(inner) | st.lists(json_ints | st.booleans())
+                   | st.dictionaries(json_strings, inner)),
+    max_leaves=20)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
+@hypothesis.given(json_values)
+@hypothesis.example({"": [], "\xe9\"\\\n": {}, "k": [[1, True, -2**70], [False, None]]})
+def test_json_text_equals_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+    for bad in [(1, 2), 0.5, [1, 0.5], {"a": [(1,)]}]:
+        with pytest.raises(TypeError):
+            _json_text(bad)
 
 
 def test_parse_errors(tmp_path):

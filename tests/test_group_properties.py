@@ -55,6 +55,8 @@ def hom_or_none(source, target, matrix):
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
 @hypothesis.given(moduli, moduli)
+@hypothesis.example((2,) * 12, (2, 4, 4, 12))  # chains, returned at once
+@hypothesis.example((4, 6), ())  # not a chain: Z_2 + Z_12
 def test_canonical_form_equals_the_smith_form_of_the_relations(a, b):
     g = FgAbGroup(a)
     assert g.ambient_rank == len(a)
