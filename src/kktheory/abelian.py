@@ -29,9 +29,8 @@ ever touches floating point, so results are exact at any size.  The pieces:
   in canonical form together with ambient lifts of its generators, so that
   maps induced on homology can be computed afterwards (``induced_hom``).
   Every group is read from bounded Smith diagonals of a complex of free
-  modules with the same homology, or is 0 outright when the caller knows
-  the annihilator 1; a cell's kernel lattice and lifts are built only when
-  asked for.
+  modules with the same homology; a cell's kernel lattice and lifts are
+  built only when asked for.
 * ``extension_candidates`` -- the isomorphism classes of finite abelian groups
   admitting a given subgroup with a given quotient, read prime by prime by the
   Hall / Littlewood-Richardson criterion.
@@ -39,6 +38,7 @@ ever touches floating point, so results are exact at any size.  The pieces:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as _cartesian
@@ -655,10 +655,6 @@ def trivial_group() -> FgAbGroup:
     return free_group(0)
 
 
-def direct_sum(*groups) -> FgAbGroup:
-    return FgAbGroup(sum((g.moduli for g in groups), ()))
-
-
 def same_presentation(a: FgAbGroup, b: FgAbGroup) -> bool:
     return a.moduli == b.moduli
 
@@ -750,20 +746,23 @@ class HomologyResult:
     representing canonical generator i (torsion generators first, in chain
     order, then free ones).  Enough of the change of basis is retained to
     express further ambient kernel elements in these generators.  ``group``
-    is read from Smith diagonals alone; the kernel lattice behind
-    ``kernel_lattice_basis``, ``lift`` and ``express`` is built on first use,
-    and building it re-derives the group and raises RuntimeError if the two
-    disagree.
+    is read from Smith diagonals alone or known outright; ``maps()`` gives
+    (d_in, d_out), read for the kernel lattice behind
+    ``kernel_lattice_basis``, ``lift`` and ``express``, which is built on
+    first use and raises RuntimeError if its group disagrees.
     """
 
     group: FgAbGroup
-    middle: FgAbGroup
-    boundary_in: IntMatrix
-    boundary_out: GroupHom
+    maps: Callable[[], tuple]
+
+    @property
+    def middle(self) -> FgAbGroup:
+        return self.maps()[0].target
 
     @cached_property
     def _lattice(self) -> _LatticeData:
-        group, data = _lattice_homology(self.boundary_in, self.middle, self.boundary_out)
+        d_in, d_out = self.maps()
+        group, data = _lattice_homology(d_in.matrix, d_in.target, d_out)
         if group != self.group:
             raise RuntimeError(f"kernel lattice gives {group.describe()}, "
                                f"Smith diagonals gave {self.group.describe()}")
@@ -813,11 +812,12 @@ def _lattice_homology(boundary_in: IntMatrix, middle: FgAbGroup, d_out: GroupHom
     return group, _LatticeData(lattice, lattice_snf, lift, s.u, diag, tuple(kept))
 
 
-def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix,
+def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix | None = None,
                        diagonals: tuple | None = None) -> FgAbGroup:
     """The homology group of S -A-> M -B-> N from bounded Smith diagonals;
-    ``composite`` is the matrix of B A, and ``diagonals``, when given, are
-    the Smith diagonals of A and B for free M and N.
+    ``composite`` is the matrix of B A (formed here when None and read),
+    and ``diagonals``, when given, are the Smith diagonals of A and B for
+    free M and N.
 
     With M = Z^n / diag(mu), N = Z^m / diag(nu), their relation columns R_M
     and R_N, and T the coordinates with nu_i != 0, the cell has the homology
@@ -846,6 +846,8 @@ def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix,
         rank_out = sum(1 for e in diag_out if e)
     else:
         mu, nu, b = d_in.target.moduli, d_out.target.moduli, d_out.matrix.data
+        if composite is None and any(nu):
+            composite = _composite(d_in, d_out)
         kept = [j for j in range(n) if mu[j]]
         rows = [row + tuple(mu[i] if i == j else 0 for j in kept)
                 for i, row in enumerate(d_in.matrix.data)]
@@ -858,28 +860,31 @@ def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix,
     return FgAbGroup.from_invariants([e for e in diag_in if e >= 2], rank)
 
 
-def homology(d_in: GroupHom, d_out: GroupHom, annihilator: int = 0,
-             diagonals: tuple | None = None) -> HomologyResult:
-    """Homology at the middle of ``. -> middle -> .`` with generator lifts.
-
-    Raises CompositionNotZero unless d_out o d_in vanishes as a map of
-    presented groups.  The group is read from Smith diagonals with bounded
-    entries (``_diagonal_homology``); the kernel lattice and the lifts are
-    built only when asked for.  A caller that knows more may pass it: an
-    ``annihilator`` g with g H = 0 (0 when none is known), so that g = 1
-    gives 0 at once, and, for a free middle and target, the Smith
-    ``diagonals`` of d_in and d_out, read in place of the boundaries' own.
-    """
-    if not same_presentation(d_in.target, d_out.source):
-        raise ValueError("middle groups of the two boundary maps differ")
+def _composite(d_in: GroupHom, d_out: GroupHom) -> IntMatrix:
+    """The matrix of d_out d_in; CompositionNotZero unless it vanishes as a
+    map of presented groups."""
     composite = d_out.matrix @ d_in.matrix
     if not _vanishes_in(d_out.target, composite.data):
         raise CompositionNotZero("boundary maps do not compose to zero")
-    if annihilator == 1:
-        group = trivial_group()
-    else:
-        group = _diagonal_homology(d_in, d_out, composite, diagonals)
-    return HomologyResult(group, d_in.target, d_in.matrix, d_out)
+    return composite
+
+
+def homology(d_in: GroupHom, d_out: GroupHom, diagonals: tuple | None = None,
+             certified: bool = False) -> HomologyResult:
+    """Homology at the middle of ``. -> middle -> .`` with generator lifts.
+
+    Raises CompositionNotZero unless d_out o d_in vanishes as a map of
+    presented groups; for a ``certified`` pair (``koszul``) the product is
+    formed and checked only where ``_diagonal_homology`` reads it.  The
+    group is read from Smith diagonals with bounded entries; the kernel
+    lattice and the lifts are built only when asked for.  For a free middle
+    and target a caller may pass the Smith ``diagonals`` of d_in and d_out.
+    """
+    if not same_presentation(d_in.target, d_out.source):
+        raise ValueError("middle groups of the two boundary maps differ")
+    composite = None if certified else _composite(d_in, d_out)
+    group = _diagonal_homology(d_in, d_out, composite, diagonals)
+    return HomologyResult(group, lambda: (d_in, d_out))
 
 
 def induced_hom(f: GroupHom, h_src: HomologyResult, h_tgt: HomologyResult) -> GroupHom:

@@ -5,11 +5,16 @@ sum of one copy of A over every strictly increasing p-tuple of colors, and
 the boundary block from tuple mu to the tuple with mu_i removed is
 (-1)^(i+1) rho^{mu_i}.  For k = 1, 2, 3 this reproduces the familiar
 two/three/four column complexes; for larger k the same block formula is used.
-Column block mu of a boundary thus holds only |mu| nonzero blocks, and each
-boundary is laid out row by row from those signed rho blocks into
-preallocated zero rows.  Nothing is checked at build time:
-``abelian.homology`` refuses any adjacent boundary pair that does not
-compose to zero, and the E2 page takes the homology at every position.
+
+A complex is held as A_j and the k matrices of rho^c on it; its groups, its
+boundaries and their Smith diagonals are built on first read.  Column block
+mu of a boundary holds only |mu| nonzero blocks, laid out row by row into
+preallocated zero rows.
+
+``build_complex`` certifies d o d = 0 with nothing laid out.  The block of
+d_{p-1} d_p from e_mu to e_{mu - {c, c'}} is +-[rho^c, rho^c'], every other
+block is 0, and every pair c < c' occurs at p = 2, so d o d = 0 exactly when
+each commutator vanishes in A_j (Eisenbud, *Commutative Algebra*, ch. 17).
 
 This is the Koszul complex of the commuting maps rho^1, ..., rho^k on
 A_j = Z^n / diag(mu), and every cell of it is killed by
@@ -28,7 +33,8 @@ the minor when the rank is n, else 0.
 
 The E2 page uses g three ways (``spectral.compute_e2``):
 
-* g = 1: every cell is 0 and no Smith form is needed.
+* g = 1: every cell is 0.  No Smith form is needed, and the boundaries are
+  laid out only if a cell's lifts are read.
 * g >= 2 and A_j free (real degrees 0, 4, 6 and complex degree 0): every
   cell is finite, so the complex is exact over Q and rank d_p is
   n C(k-1, p-1).  The torsion of coker d_p is ker d_{p-1} / im d_p, a cell,
@@ -44,9 +50,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import mul
 
-from .abelian import (GroupHom, IntMatrix, _rank_and_minor, annihilated_smith_diagonal,
-                      direct_sum, trivial_group, zero_hom)
+from .abelian import (CompositionNotZero, FgAbGroup, GroupHom, IntMatrix, _rank_and_minor,
+                      annihilated_smith_diagonal, trivial_group, zero_hom)
 from .crmodule import GradedGroupA, build_graded_group, build_rho
 from .kgraph import KGraphSpec, VertexPartition, validate
 
@@ -62,20 +69,45 @@ def index_tuples(k: int, p: int):
 class GradedChainComplex:
     """0 -> C_k -> ... -> C_0 -> 0 for one degree of one part.
 
-    ``boundaries[p - 1]`` is the map C_p -> C_{p-1}.  ``annihilator`` is a
-    g with g H = 0 for every homology cell, 0 when none is known.
+    ``rhos[c - 1]`` is the matrix of rho^c on ``aj`` = A_j.  ``groups`` and
+    ``boundaries`` (``boundaries[p - 1]`` is the map C_p -> C_{p-1}) are
+    laid out on first read.  ``annihilator`` is a g with g H = 0 for every
+    homology cell, 0 when none is known.
     """
 
     part: str
     degree: int
     k: int
-    groups: tuple
-    boundaries: tuple
+    aj: FgAbGroup
+    rhos: tuple
     annihilator: int = 0
 
     @property
     def is_free(self) -> bool:
-        return not any(self.groups[0].moduli)
+        return not any(self.aj.moduli)
+
+    @cached_property
+    def groups(self) -> tuple:
+        return tuple(FgAbGroup(self.aj.moduli * comb(self.k, p)) for p in range(self.k + 1))
+
+    @cached_property
+    def boundaries(self) -> tuple:
+        n = self.aj.ambient_rank
+        # the rows of (-1)^i rho^c for even and for odd i
+        signed = [(m.data, [[-x for x in row] for row in m.data]) for m in self.rhos]
+        out = []
+        for p in range(1, self.k + 1):
+            position = {lam: a for a, lam in enumerate(index_tuples(self.k, p - 1))}
+            upper = index_tuples(self.k, p)
+            rows = [[0] * (n * len(upper)) for _ in range(n * len(position))]
+            for b, mu in enumerate(upper):
+                for i, color in enumerate(mu):
+                    a = position[mu[:i] + mu[i + 1:]]
+                    for r, row in enumerate(signed[color - 1][i % 2]):
+                        rows[a * n + r][b * n:(b + 1) * n] = row
+            mat = IntMatrix(len(rows), n * len(upper), rows)
+            out.append(GroupHom(self.groups[p], self.groups[p - 1], mat))
+        return tuple(out)
 
     def diagonal(self, p: int) -> tuple:
         """The Smith diagonal of the map leaving C_p, () for the end maps.
@@ -92,7 +124,7 @@ class GradedChainComplex:
 
     @cached_property
     def _annihilated_diagonals(self) -> tuple:
-        n = self.groups[0].ambient_rank
+        n = self.aj.ambient_rank
         return tuple(annihilated_smith_diagonal(b.matrix, n * comb(self.k - 1, p - 1),
                                                 self.annihilator)
                      for p, b in enumerate(self.boundaries, start=1))
@@ -112,13 +144,8 @@ def build_complex(spec: KGraphSpec, degree: int, part: str,
                   partition: VertexPartition | None = None,
                   graded: GradedGroupA | None = None,
                   rhos: tuple | None = None) -> GradedChainComplex:
-    """The complex for one degree of one part, laid out from the rho maps.
-
-    Each boundary starts as zero rows; every signed ``rho`` row is written
-    straight into its slot, so column block mu gets its |mu| nonzero blocks
-    and no zero block is built.  Nothing is checked here (see the module
-    docstring).
-    """
+    """The complex for one degree of one part, with its annihilator; raises
+    CompositionNotZero unless the rho maps commute in A_j."""
     if part not in ("real", "complex"):
         raise ValueError(f"unknown part {part!r}")
     if partition is None:
@@ -127,36 +154,27 @@ def build_complex(spec: KGraphSpec, degree: int, part: str,
         graded = build_graded_group(partition)
     if rhos is None:
         rhos = tuple(build_rho(spec, c, partition, graded) for c in range(1, spec.k + 1))
-    k = spec.k
     aj = graded.group(part, degree)
-    n = aj.ambient_rank
-
-    groups = []
-    for p in range(k + 1):
-        copies = len(index_tuples(k, p))
-        groups.append(direct_sum(*([aj] * copies)) if copies else trivial_group())
-
-    mats = [rho.hom(part, degree).matrix for rho in rhos]
-    # the rows of (-1)^i rho^c for even and for odd i
-    signed = {c: (m.data, [[-x for x in row] for row in m.data])
-              for c, m in enumerate(mats, start=1)}
-
-    boundaries = []
-    for p in range(1, k + 1):
-        position = {lam: a for a, lam in enumerate(index_tuples(k, p - 1))}
-        upper = index_tuples(k, p)
-        rows = [[0] * (n * len(upper)) for _ in range(n * len(position))]
-        for b, mu in enumerate(upper):
-            for i, color in enumerate(mu):
-                a = position[mu[:i] + mu[i + 1:]]
-                for r, row in enumerate(signed[color][i % 2]):
-                    rows[a * n + r][b * n:(b + 1) * n] = row
-        mat = IntMatrix(len(rows), n * len(upper), rows)
-        boundaries.append(GroupHom(groups[p], groups[p - 1], mat))
-
-    return GradedChainComplex(part=part, degree=degree, k=k,
-                              groups=tuple(groups), boundaries=tuple(boundaries),
+    mats = tuple(rho.hom(part, degree).matrix for rho in rhos)
+    _certify_commuting(aj, mats)
+    return GradedChainComplex(part=part, degree=degree, k=spec.k, aj=aj, rhos=mats,
                               annihilator=_annihilator(aj, mats))
+
+
+def _certify_commuting(aj, mats):
+    """Raise CompositionNotZero unless every entry (i, j) of each commutator
+    ab - ba, row i of a times column j of b minus row i of b times column j
+    of a, is divisible by moduli[i] (zero when free)."""
+    cols = [tuple(zip(*m.data)) for m in mats]
+    for c, (a, a_cols) in enumerate(zip(mats, cols)):
+        for d, (b, b_cols) in enumerate(zip(mats[:c], cols)):
+            for m, a_row, b_row in zip(aj.moduli, a.data, b.data):
+                for a_col, b_col in zip(a_cols, b_cols):
+                    x = sum(map(mul, a_row, b_col)) - sum(map(mul, b_row, a_col))
+                    if x % m if m else x:
+                        raise CompositionNotZero(
+                            f"boundary maps do not compose to zero: "
+                            f"rho^{d + 1} and rho^{c + 1} do not commute")
 
 
 def _annihilator(aj, mats) -> int:

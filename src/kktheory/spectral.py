@@ -72,7 +72,7 @@ class E2Page:
     k: int
     partition: VertexPartition
     cells: dict            # (part, p, j) -> HomologyResult
-    complexes: dict        # (part, j) -> GradedChainComplex, shared by equal boundaries
+    complexes: dict        # (part, j) -> GradedChainComplex, shared by equal rho maps
 
     def cell(self, part: str, p: int, q: int) -> HomologyResult | None:
         if not 0 <= p <= self.k:
@@ -88,34 +88,44 @@ def compute_e2(spec: KGraphSpec) -> E2Page:
     """Homology of every graded complex; each cell builds its generator lifts
     when first asked for them.
 
-    A complex whose boundaries equal those of an earlier one (same source
-    and target moduli, same matrices) is that earlier complex, with the same
-    cells.  Real degrees 3, 5 and 7 always are; so are real 0, 4 and complex
-    0 when no vertex is paired, and real 2 and 6 when none is fixed.  Its
-    ``part`` and ``degree`` name the first degree built.
+    Two degrees with the same A_j moduli and the same rho matrices share one
+    complex, built (and certified square-zero) once, with the same cells.
+    Real degrees 3, 5 and 7 always do; so do real 0, 4 and complex 0 when no
+    vertex is paired, and real 2 and 6 when none is fixed.  Its ``part`` and
+    ``degree`` name the first degree built.
 
-    Each cell gets its complex's annihilator g, so that g = 1 gives 0 at
-    once, and a free complex's cells get its boundaries' Smith diagonals,
-    read modulo g when g != 0 (see ``koszul``).
+    A complex with annihilator g = 1 has every cell 0, read without its
+    boundaries, which are laid out only if a lift is asked for.  The other
+    cells go through ``homology``, and a free complex's cells get its
+    boundaries' Smith diagonals, read modulo g when g != 0 (see ``koszul``).
     """
     partition = validate(spec)
     graded = build_graded_group(partition)
     rhos = tuple(build_rho(spec, c, partition, graded) for c in range(1, spec.k + 1))
     cells = {}
     complexes = {}
-    seen = {}              # boundaries -> (complex, its cells for p = 0..k)
+    seen = {}              # (moduli, rho matrices) -> (complex, its cells for p = 0..k)
     for part in ("real", "complex"):
         for j in range(_period(part)):
-            cx = build_complex(spec, j, part, partition, graded, rhos)
-            key = tuple((b.source.moduli, b.target.moduli, b.matrix) for b in cx.boundaries)
+            key = (graded.group(part, j).moduli, tuple(rho.hom(part, j).matrix for rho in rhos))
             if key not in seen:
-                seen[key] = (cx, [homology(cx.boundary(p + 1), cx.boundary(p), cx.annihilator,
-                                           (cx.diagonal(p + 1), cx.diagonal(p))
-                                           if cx.is_free else None)
-                                  for p in range(spec.k + 1)])
+                cx = build_complex(spec, j, part, partition, graded, rhos)
+                seen[key] = (cx, _cells(cx))
             complexes[(part, j)], column = seen[key]
             cells.update(((part, p, j), h) for p, h in enumerate(column))
     return E2Page(k=spec.k, partition=partition, cells=cells, complexes=complexes)
+
+
+def _cells(cx) -> list:
+    """The homology of one certified complex at p = 0..k."""
+    if cx.annihilator == 1:
+        zero = trivial_group()
+        return [HomologyResult(zero, lambda p=p: (cx.boundary(p + 1), cx.boundary(p)))
+                for p in range(cx.k + 1)]
+    return [homology(cx.boundary(p + 1), cx.boundary(p),
+                     (cx.diagonal(p + 1), cx.diagonal(p)) if cx.is_free else None,
+                     certified=True)
+            for p in range(cx.k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +216,25 @@ def _fold_extensions(groups, ext_bound):
     return tuple(sorted(acc, key=lambda g: (g.order() or 0, g.invariant_factors)))
 
 
-def _injective_variants(source: FgAbGroup, target: FgAbGroup):
+def _injective_variants(source: FgAbGroup, target: FgAbGroup,
+                        ext_bound: int = DEFAULT_EXTENSION_BOUND):
     """Cokernel classes of injective maps source -> target (finite cells),
     sorted by invariant factors.
 
     An injection with cokernel nu exists exactly when target is an extension
     of source by nu.  Used only to spell out the possible d2 != 0 outcomes,
-    never to pick one; a zero source gives none.
+    never to pick one; a zero source gives none.  A target of order above
+    ``ext_bound`` raises BoundExceeded before any group is listed.
     """
     if source.free_rank or target.free_rank:
         raise InfiniteInput("differential variant enumeration needs finite cells")
-    if source.is_trivial or target.order() % source.order():
+    order = target.order()
+    if source.is_trivial or order % source.order():
         return []
-    return [nu for nu in abelian_groups_of_order(target.order() // source.order())
-            if target in extension_candidates(source, nu, target.order())]
+    if order > ext_bound:
+        raise BoundExceeded(f"order {order} exceeds bound {ext_bound}")
+    return [nu for nu in abelian_groups_of_order(order // source.order())
+            if target in extension_candidates(source, nu, ext_bound)]
 
 
 def assemble_diagonals(page: E2Page, report: DifferentialReport,
@@ -249,7 +264,7 @@ def assemble_diagonals(page: E2Page, report: DifferentialReport,
         for entry in touching:
             d = f"d{entry.r}"
             options = [(f"{d}=0", entry, None)]
-            injs = _injective_variants(entry.source_group, entry.target_group)
+            injs = _injective_variants(entry.source_group, entry.target_group, ext_bound)
             for idx, coker in enumerate(injs):
                 label = f"{d}!=0" if len(injs) == 1 else f"{d}!=0 ({idx + 1})"
                 options.append((label, entry, coker))

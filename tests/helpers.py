@@ -7,21 +7,22 @@ Brute-force enumerators (every homomorphism for extensions and d2 variants,
 the full sweep of one core cycle) are the oracles for the library's
 combinatorial answers to the same questions.  The rank-one building-block
 tables with their relation checker, and the square-zero check of a chain
-complex, are written out here for the tests that pin down the structure the
-library builds on.  ``group_from_presentation`` and ``in_span`` read a
-group and a span from a general relations matrix by Smith normal form: the
-oracles for the library's groups, which are held as one modulus per
-coordinate.  ``kernel_basis`` and ``column_span_basis`` are the two steps
-of ``kernel_lattice``, written out on their own.  ``dense_matmul`` (every
-row against every column) and ``dense_koszul_boundaries`` (a full grid of
-n x n blocks, zero blocks included) are the oracles for the library's
-product over nonzero entries and its row-by-row boundary layout;
+complex on its laid-out boundaries (``verify_square_zero``, also for a
+hand-built ``LaidOutComplex``), are written out here for the tests that pin
+down the structure the library builds on.  ``group_from_presentation`` and
+``in_span`` read a group and a span from a general relations matrix by Smith
+normal form: the oracles for the library's groups, which are held as one
+modulus per coordinate.  ``kernel_basis`` and ``column_span_basis`` are the
+two steps of ``kernel_lattice``, written out on their own.  ``dense_matmul``
+(every row against every column) and ``dense_koszul_boundaries`` (a full
+grid of n x n blocks, zero blocks included) are the oracles for the
+library's product over nonzero entries and its row-by-row boundary layout;
 ``eager_rank_and_minor`` (Bareiss rescaling every row at every step) and
 ``restarting_diagonal_mod`` (a unit search that restarts from the first row
 after each unit) are the oracles for the library's Smith diagonal steps.
 Matrix, group and hom constructors that no calculator code needs
-(``from_rows``, ``transpose``, ``cyclic_group``, ``identity_hom``,
-``compose``, ...) live here too.
+(``from_rows``, ``transpose``, ``cyclic_group``, ``direct_sum``,
+``identity_hom``, ``compose``, ...) live here too.
 """
 
 from dataclasses import dataclass
@@ -87,6 +88,10 @@ def solve_in_span(a: IntMatrix, b: IntMatrix):
 
 def cyclic_group(n: int) -> FgAbGroup:
     return free_group(1) if n == 0 else FgAbGroup.from_invariants([n])
+
+
+def direct_sum(*groups) -> FgAbGroup:
+    return FgAbGroup(sum((g.moduli for g in groups), ()))
 
 
 def identity_hom(g: FgAbGroup) -> GroupHom:
@@ -231,15 +236,19 @@ def dense_koszul_boundaries(spec: KGraphSpec, degree: int, part: str) -> list:
     n = graded.group(part, degree).ambient_rank
     rho = {c: build_rho(spec, c, partition, graded).hom(part, degree).matrix
            for c in range(1, k + 1)}
+    zero = IntMatrix.zeros(n, n)
     out = []
     for p in range(1, k + 1):
         lower, upper = index_tuples(k, p - 1), index_tuples(k, p)
-        grid = [[IntMatrix.zeros(n, n) for _ in upper] for _ in lower]
+        grid = [[zero] * len(upper) for _ in lower]
         for b, mu in enumerate(upper):
             for i, color in enumerate(mu):
                 grid[lower.index(mu[:i] + mu[i + 1:])][b] = \
                     rho[color] if i % 2 == 0 else -rho[color]
-        out.append(IntMatrix.assemble(grid))
+        # row r of a stripe is row r of each of its blocks, left to right
+        rows = [[x for block in stripe for x in block.data[r]]
+                for stripe in grid for r in range(n)]
+        out.append(IntMatrix(len(rows), n * len(upper), rows))
     return out
 
 
@@ -846,8 +855,22 @@ class SquareZeroReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_square_zero(cx: GradedChainComplex) -> SquareZeroReport:
-    """Compose every adjacent boundary pair and test for the zero map."""
+@dataclass(frozen=True)
+class LaidOutComplex:
+    """0 -> C_k -> ... -> C_0 -> 0 given by its groups and boundary maps
+    (``boundaries[p - 1]`` is C_p -> C_{p-1}), for hand-built complexes
+    that no rho maps describe."""
+
+    k: int
+    groups: tuple
+    boundaries: tuple
+
+    boundary = GradedChainComplex.boundary
+
+
+def verify_square_zero(cx) -> SquareZeroReport:
+    """Compose every adjacent boundary pair of a ``GradedChainComplex`` or a
+    ``LaidOutComplex`` and test for the zero map."""
     checks = []
     for p in range(1, cx.k + 1):
         composite = compose(cx.boundary(p), cx.boundary(p + 1))

@@ -14,7 +14,6 @@ from kktheory.abelian import (
     NotChainMap,
     NotWellDefined,
     abelian_groups_of_order,
-    direct_sum,
     extension_candidates,
     free_group,
     homology,
@@ -45,6 +44,7 @@ from helpers import (
     cyclic_group,
     determinant,
     diagonal_matrix,
+    direct_sum,
     eager_rank_and_minor,
     extension_candidates_by_homs,
     from_rows,
@@ -428,6 +428,11 @@ def test_homology_rejects_nonzero_composition():
     with pytest.raises(CompositionNotZero):
         homology(GroupHom(z, z, from_rows([[1]])),
                  GroupHom(z, z, from_rows([[1]])))
+    # a certified pair still has the product checked where it is read: a
+    # target with a torsion coordinate
+    with pytest.raises(CompositionNotZero):
+        homology(GroupHom(z, z, from_rows([[1]])),
+                 GroupHom(z, cyclic_group(3), from_rows([[1]])), certified=True)
 
 
 def test_homology_lift_round_trip():
@@ -517,8 +522,7 @@ def test_lazy_lattice_rejects_a_wrong_diagonal_group():
     d_out = zero_hom(z, trivial_group())
     right = homology(d_in, d_out)
     assert right.group == cyclic_group(2)
-    wrong = HomologyResult(cyclic_group(3), right.middle, right.boundary_in,
-                           right.boundary_out)
+    wrong = HomologyResult(cyclic_group(3), right.maps)
     with pytest.raises(RuntimeError):
         wrong.lift
 

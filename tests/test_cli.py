@@ -3,6 +3,7 @@ import itertools
 import json
 import pathlib
 import random
+import signal
 import sys
 import time
 
@@ -153,6 +154,29 @@ def test_extension_bound_exit_code(tmp_path):
     assert "BoundExceeded" in err
 
 
+@pytest.mark.parametrize("k, order", [(7, 2097152), (8, 72057594037927936)])
+def test_one_vertex_variant_search_stops_at_the_extension_bound(tmp_path, k, order):
+    # m_c = 3, 5, 7, 3, 5, ...: k = 8 has d2: Z_2 -> Z_2^56, whose variant
+    # search once listed the groups of order 2^55 and ran for minutes; the
+    # bound now stops it first.  Each run takes about 0.02 s in process on a
+    # 2-core VM, so a 10 s alarm leaves room for slow runners
+    def too_slow(signum, frame):
+        raise TimeoutError("the d2-variant search ignores --ext-bound")
+
+    doc = {"k": k, "vertices": ["v"], "involution": [0],
+           "matrices": [[[m]] for m in (3, 5, 7, 3, 5, 7, 3, 5)[:k]]}
+    path = write_input(tmp_path, "ov.json", doc)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        code, out, err = run_cli(["compute", path])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (4, "")
+    assert err == f"BoundExceeded: order {order} exceeds bound 65536\n"
+
+
 def test_core_bound_too_small_exits_4_naming_the_least_bound(tmp_path):
     # (3,3) forces a rank-2 MO entry, so a rank bound of 1 cuts every table:
     # the search was truncated, which is not an inconsistency
@@ -256,6 +280,25 @@ def test_seven_colour_sample_matches_its_golden_report():
     code, out, err = run_cli(["compute", str(here.parent / "sample_inputs" / "random_k7_v6_s0.json")])
     assert (code, err) == (0, "")
     assert out == (here / "data" / "random_k7_v6_s0.txt").read_text(encoding="utf-8")
+
+
+def test_ten_colour_sample_matches_its_golden_report(monkeypatch):
+    # random_valid_spec(random.Random(0), 10, 6), the scale guard for g = 1
+    # growth in k: every complex has annihilator 1, so every cell is 0 and no
+    # boundary (up to 1260 x 1512) is laid out
+    pages, e2 = [], spectral.compute_e2
+
+    def keep_page(spec):
+        pages.append(e2(spec))
+        return pages[-1]
+
+    monkeypatch.setattr(spectral, "compute_e2", keep_page)
+    here = pathlib.Path(__file__).parent
+    code, out, err = run_cli(["compute", str(here.parent / "sample_inputs" / "random_k10_v6_s0.json")])
+    assert (code, err) == (0, "")
+    assert out == (here / "data" / "random_k10_v6_s0.txt").read_text(encoding="utf-8")
+    complexes = pages[0].complexes.values()
+    assert all(cx.annihilator == 1 and "boundaries" not in vars(cx) for cx in complexes)
 
 
 def test_render_text_matches_analyze(tmp_path):

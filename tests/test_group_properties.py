@@ -12,10 +12,9 @@ from kktheory.abelian import (  # noqa: E402
     GroupHom,
     IntMatrix,
     NotWellDefined,
-    direct_sum,
 )
 
-from helpers import group_from_presentation, hom_equals, hom_is_zero, in_span  # noqa: E402
+from helpers import direct_sum, group_from_presentation, hom_equals, hom_is_zero, in_span  # noqa: E402
 
 # 0 (free), 1 (trivial) and repeats all occur
 moduli = st.lists(st.integers(0, 12), max_size=6).map(tuple)

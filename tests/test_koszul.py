@@ -17,10 +17,12 @@ from kktheory.abelian import (
     smith_diagonal,
 )
 from kktheory.kgraph import KGraphSpec, validate
-from kktheory.koszul import GradedChainComplex, build_complex, index_tuples
+from kktheory.crmodule import build_rho
+from kktheory.koszul import build_complex, index_tuples
 from kktheory.spectral import compute_e2
 
 from helpers import (
+    LaidOutComplex,
     asymmetric_three_vertex_spec,
     dense_koszul_boundaries,
     from_rows,
@@ -89,8 +91,7 @@ def test_square_zero_detects_sign_error():
     z2 = free_group(2)
     d1 = GroupHom(z2, z, from_rows([[1 - n, 1 - m]]))
     bad_d2 = GroupHom(z, z2, from_rows([[-(1 - n)], [-(1 - m)]]))
-    cx = GradedChainComplex(part="complex", degree=0, k=2,
-                            groups=(z, z2, z), boundaries=(d1, bad_d2))
+    cx = LaidOutComplex(k=2, groups=(z, z2, z), boundaries=(d1, bad_d2))
     report = verify_square_zero(cx)
     assert not report.all_passed
     assert [c.position for c in report.checks if not c.passed] == [1]
@@ -98,63 +99,88 @@ def test_square_zero_detects_sign_error():
 
 def test_square_zero_passes_zero_boundaries():
     z = free_group(1)
-    cx = GradedChainComplex(part="complex", degree=0, k=1, groups=(z, z),
-                            boundaries=(GroupHom(z, z, IntMatrix.zeros(1, 1)),))
+    cx = LaidOutComplex(k=1, groups=(z, z), boundaries=(GroupHom(z, z, IntMatrix.zeros(1, 1)),))
     assert verify_square_zero(cx).all_passed
 
 
+def with_block(rho, part, degree, rows):
+    """``rho`` with its matrix on one degree of one part replaced."""
+    old = rho.hom(part, degree)
+    field = "real" if part == "real" else "cplx"
+    homs = list(getattr(rho, field))
+    homs[degree] = GroupHom(old.source, old.target, from_rows(rows))
+    return dataclasses.replace(rho, **{field: tuple(homs)})
+
+
 def test_build_complex_raises_on_noncommuting_rhos():
-    # force the internal assembly check: patch rho matrices is invasive, so
-    # instead verify the error type is raised through a hand-built complex
+    # two fixed vertices: Z^2 in real degree 0 and complex degree 0, Z_2^2 in
+    # real degree 1.  The shears [[1, 1], [0, 1]] and [[1, 0], [1, 1]] do not
+    # commute over Z nor mod 2; with [[1, 0], [2, 1]] the commutator is
+    # diag(2, -2), which vanishes in Z_2^2 only
+    spec = KGraphSpec.from_lists(2, ["a", "b"], [[[1, 0], [0, 1]]] * 2, [0, 1])
+    rhos = (build_rho(spec, 1), build_rho(spec, 2))
+
+    def pair(part, degree, second):
+        return (with_block(rhos[0], part, degree, [[1, 1], [0, 1]]),
+                with_block(rhos[1], part, degree, second))
+
+    for part, degree in (("real", 0), ("complex", 0), ("real", 1)):
+        with pytest.raises(CompositionNotZero, match="rho.1 and rho.2"):
+            build_complex(spec, degree, part, rhos=pair(part, degree, [[1, 0], [1, 1]]))
     with pytest.raises(CompositionNotZero):
-        m, n = 4, 4
-        z = free_group(1)
-        z2 = free_group(2)
-        d1 = GroupHom(z2, z, from_rows([[1 - n, 1 - m]]))
-        bad_d2 = GroupHom(z, z2, from_rows([[-(1 - n)], [-(1 - m)]]))
-        cx = GradedChainComplex(part="complex", degree=0, k=2,
-                                groups=(z, z2, z), boundaries=(d1, bad_d2))
-        report = verify_square_zero(cx)
-        if not report.all_passed:
-            raise CompositionNotZero("hand-built complex fails square-zero")
+        build_complex(spec, 0, "real", rhos=pair("real", 0, [[1, 0], [2, 1]]))
+    cx = build_complex(spec, 1, "real", rhos=pair("real", 1, [[1, 0], [2, 1]]))
+    assert verify_square_zero(cx).all_passed
+    # the unchanged maps commute in every degree
+    for part, degrees in (("real", range(8)), ("complex", range(2))):
+        for j in degrees:
+            build_complex(spec, j, part, rhos=rhos)
 
 
 def test_e2_page_refuses_boundaries_that_do_not_compose_to_zero(monkeypatch):
-    # build_complex checks nothing; homology is the one square-zero guard
+    # rho^2 + E_11 in complex degree 0 no longer commutes with rho^1: the
+    # complex is refused when it is built, before any boundary is laid out
     from kktheory import spectral
-    m, n = 4, 4
-    z = free_group(1)
-    z2 = free_group(2)
-    d1 = GroupHom(z2, z, from_rows([[1 - n, 1 - m]]))
-    bad_d2 = GroupHom(z, z2, from_rows([[-(1 - n)], [-(1 - m)]]))
-    bad = GradedChainComplex(part="complex", degree=0, k=2,
-                             groups=(z, z2, z), boundaries=(d1, bad_d2))
-    monkeypatch.setattr(spectral, "build_complex", lambda *args: bad)
-    with pytest.raises(CompositionNotZero):
-        spectral.compute_e2(one_vertex_spec(m, n))
+    spec = symmetric_three_vertex_spec(3)
+    spectral.compute_e2(spec)
+    build = spectral.build_rho
+
+    def broken(spec, color, *args):
+        rho = build(spec, color, *args)
+        if color != 2:
+            return rho
+        rows = rho.hom("complex", 0).matrix.tolist()
+        rows[0][0] += 1
+        return with_block(rho, "complex", 0, rows)
+
+    monkeypatch.setattr(spectral, "build_rho", broken)
+    with pytest.raises(CompositionNotZero, match="rho.1 and rho.2"):
+        spectral.compute_e2(spec)
 
 
 def test_e2_page_refuses_a_rank_three_boundary_off_its_first_blocks(monkeypatch):
-    # one entry of d_2 beyond the first block row and column: a product that
-    # skipped entries there would let the broken complex through
+    # rho^1 = -1 commutes with everything, and one entry in the last row and
+    # column of rho^3 breaks only the last pair (2, 3): a certificate that
+    # stopped at the first pairs, or rows, would let the broken complex through
     from kktheory import spectral
-    spec = random_valid_spec(random.Random(0), 3, 4)
+    base = random_valid_spec(random.Random(0), 3, 4)
+    n = base.vertex_count
+    spec = dataclasses.replace(base, matrices=(IntMatrix.identity(n).scaled(2),) + base.matrices[1:])
     spectral.compute_e2(spec)
+    build = spectral.build_rho
 
-    def broken(spec, degree, part, *args):
-        cx = build_complex(spec, degree, part, *args)
-        if (part, degree) != ("complex", 0):
-            return cx
-        d2 = cx.boundaries[1]
-        n = cx.groups[0].ambient_rank
-        rows = [list(r) for r in d2.matrix.data]
-        assert len(rows) > n and len(rows[-1]) > n
+    def broken(spec, color, *args):
+        rho = build(spec, color, *args)
+        if color != 3:
+            return rho
+        rows = rho.hom("complex", 0).matrix.tolist()
         rows[-1][-1] += 1
-        bad = GroupHom(d2.source, d2.target, IntMatrix(len(rows), len(rows[0]), rows))
-        return dataclasses.replace(cx, boundaries=(cx.boundaries[0], bad, cx.boundaries[2]))
+        return with_block(rho, "complex", 0, rows)
 
-    monkeypatch.setattr(spectral, "build_complex", broken)
-    with pytest.raises(CompositionNotZero):
+    rho2 = build(spec, 2).hom("complex", 0).matrix
+    assert any(rho2[n - 1, j] for j in range(n - 1)) or any(rho2[i, n - 1] for i in range(n - 1))
+    monkeypatch.setattr(spectral, "build_rho", broken)
+    with pytest.raises(CompositionNotZero, match="rho.2 and rho.3"):
         spectral.compute_e2(spec)
 
 
@@ -285,3 +311,18 @@ def test_annihilator_of_one_vertex_complexes():
         assert build_complex(spec, 0, "complex").annihilator == gcd(m - 1, n - 1)
         assert build_complex(spec, 1, "real").annihilator == gcd(m - 1, n - 1, 2)
         assert build_complex(spec, 3, "real").annihilator == 1
+
+
+@pytest.mark.parametrize("k, nv", [(7, 6), (8, 6), (10, 4)])
+def test_ladder_boundaries_are_the_dense_grid_and_square_zero(k, nv):
+    # the E2 page certifies commutators and lays out boundaries only when
+    # read; laid out here, every degree's boundaries still match the dense
+    # block grid and compose to zero
+    spec = random_valid_spec(random.Random(0), k, nv)
+    page = compute_e2(spec)
+    checked = set()
+    for (part, j), cx in page.complexes.items():
+        assert [b.matrix for b in cx.boundaries] == dense_koszul_boundaries(spec, j, part), (part, j)
+        if id(cx) not in checked:
+            checked.add(id(cx))
+            assert verify_square_zero(cx).all_passed, (part, j)

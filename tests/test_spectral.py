@@ -562,6 +562,23 @@ def test_injective_variants_match_the_hom_enumeration_oracle():
     assert multi == 5
 
 
+def test_injective_variants_refuse_a_target_above_the_bound(monkeypatch):
+    # the bound is checked before any cokernel candidate is listed
+    from kktheory import spectral
+    z2z4 = FgAbGroup.from_invariants([2, 4])
+    assert _injective_variants(Z2, z2z4, 8) == [FgAbGroup.from_invariants([2, 2]), cyclic_group(4)]
+
+    def refuse(n):
+        raise AssertionError("groups were listed")
+
+    monkeypatch.setattr(spectral, "abelian_groups_of_order", refuse)
+    with pytest.raises(BoundExceeded, match=r"^order 8 exceeds bound 7$"):
+        _injective_variants(Z2, z2z4, 7)
+    with pytest.raises(BoundExceeded, match=r"^order 131072 exceeds bound 65536$"):
+        _injective_variants(Z2, FgAbGroup.from_invariants([2] * 17))
+    assert _injective_variants(Z2, cyclic_group(3), 1) == []
+
+
 class _FactorPage:
     """Just the part of an E2 page that diagonal assembly reads."""
 
