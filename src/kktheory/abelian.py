@@ -12,7 +12,8 @@ ever touches floating point, so results are exact at any size.  The pieces:
   minor D, then the rest modulo D.  By Sylvester's identity no intermediate
   entry exceeds the Hadamard bound.  ``annihilated_smith_diagonal`` needs
   no minor: given the rank and a multiple of every nonzero invariant factor
-  (a Koszul complex's annihilator, see ``koszul``), it works modulo that.
+  (a Koszul complex's annihilator, see ``koszul``), it reads the chain
+  modulo that, as ``smith_diagonal`` does modulo D (``_chain_mod``).
   Nothing is memoized across calls: a boundary keeps its diagonal
   (``GroupHom.smith_diagonal``) and a homology cell the decomposition of
   its kernel lattice.
@@ -29,8 +30,8 @@ ever touches floating point, so results are exact at any size.  The pieces:
   in canonical form together with ambient lifts of its generators, so that
   maps induced on homology can be computed afterwards (``induced_hom``).
   Every group is read from bounded Smith diagonals of a complex of free
-  modules with the same homology; a cell's kernel lattice and lifts are
-  built only when asked for.
+  modules with the same homology, whose first map is ``_first_map``; a
+  cell's kernel lattice and lifts are built only when asked for.
 * ``extension_candidates`` -- the isomorphism classes of finite abelian groups
   admitting a given subgroup with a given quotient, read prime by prime by the
   Hall / Littlewood-Richardson criterion.
@@ -364,48 +365,48 @@ def smith_diagonal(m: IntMatrix) -> tuple:
     ``_rank_and_minor`` takes every pivot of absolute value 1 first, each
     an invariant factor 1, then runs fraction-free elimination on the
     remainder for the rank r and a nonzero r x r minor D.  Every other
-    nonzero invariant factor divides D, so the remainder is diagonalized
-    over Z/DZ (Cohen, *A Course in Computational Algebraic Number Theory*,
-    Alg. 2.4.14): each entry e reads as the ideal gcd(e, D) (a 0 reads as
-    D), and those ideals are sorted into a divisibility chain.  Every stored
-    entry is a minor of ``m`` or a residue below D, so none exceeds the
-    Hadamard bound of ``m``.
+    nonzero invariant factor divides D, so the remainder is read modulo D
+    (``_chain_mod``).  Every stored entry is a minor of ``m`` or a residue
+    below D, so none exceeds the Hadamard bound of ``m``.
     """
-    size = min(m.rows, m.cols)
     rank, minor, units, rest = _rank_and_minor(m)
-    ones, zeros = (1,) * units, (0,) * (size - rank)
+    zeros = (0,) * (min(m.rows, m.cols) - rank)
     if minor == 1:
         return (1,) * rank + zeros
-    if rank == units + 1:  # the last factor is the gcd of the remainder
-        return ones + (gcd(*(x for row in rest for x in row)),) + zeros
-    ideals = [gcd(e, minor) for e in _diagonal_mod(rest, minor)]
-    ideals += [minor] * (rank - units - len(ideals))
-    return ones + tuple(_divisibility_chain(ideals)[:rank - units]) + zeros
+    return (1,) * units + _chain_mod(rest, rank - units, minor) + zeros
 
 
 def annihilated_smith_diagonal(m: IntMatrix, rank: int, modulus: int) -> tuple:
     """The Smith diagonal of ``m``, given its rank and a ``modulus`` >= 1
-    that every nonzero invariant factor divides.
-
-    No minor is computed: ``m`` is diagonalized over Z/modulus as in
-    ``smith_diagonal``, each entry e read as gcd(e, modulus), padded with
-    ``modulus`` to ``rank`` entries and sorted into a divisibility chain.
-    Over Z/modulus, m is equivalent to diag(d_1, ..., d_rank, 0, ...), so
-    the chain is d_1, ..., d_rank followed by ``modulus`` alone.  The cut
-    at the rank comes after the chain, because modulo a composite modulus
-    there can be more nonzero residues than the rank: diag(2, 3) is
-    diag(1, 6) modulo 6.  Raises RuntimeError if an entry past the rank is
-    not ``modulus``, as a wrong rank or modulus can show.
-    """
-    zeros = (0,) * (min(m.rows, m.cols) - rank)
+    that every nonzero invariant factor divides, read modulo that with no
+    minor (``_chain_mod``).  Raises RuntimeError on a rank above
+    min(rows, cols), or on one that the chain refutes."""
+    size = min(m.rows, m.cols)
+    if rank > size:
+        raise RuntimeError(f"a {m.rows} x {m.cols} matrix cannot have rank {rank}")
+    zeros = (0,) * (size - rank)
     if modulus == 1:
         return (1,) * rank + zeros
-    ideals = [gcd(e, modulus) for e in _diagonal_mod(m.data, modulus)]
+    return _chain_mod(m.data, rank, modulus) + zeros
+
+
+def _chain_mod(rows, rank, modulus) -> tuple:
+    """The ``rank`` nonzero invariant factors of ``rows``, each dividing
+    ``modulus`` >= 2 (Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 2.4.14).  Over Z/modulus the rows are equivalent to
+    diag(d_1, ..., d_rank, 0, ...), so the gcds with ``modulus`` of a
+    diagonal found there, padded with ``modulus`` to ``rank`` entries, sort
+    into the chain d_1, ..., d_rank, then ``modulus`` alone.  The cut comes
+    after sorting, as modulo a composite there can be more nonzero residues
+    than the rank: diag(2, 3) is diag(1, 6) modulo 6.  Raises RuntimeError
+    if an entry past the rank is not ``modulus``.
+    """
+    ideals = [gcd(e, modulus) for e in _diagonal_mod(rows, modulus)]
     chain = _divisibility_chain(ideals + [modulus] * (rank - len(ideals)))
     if any(e != modulus for e in chain[rank:]):
         raise RuntimeError(f"a matrix of rank {rank} has invariant factors "
                            f"{chain} modulo {modulus}")
-    return tuple(chain[:rank]) + zeros
+    return tuple(chain[:rank])
 
 
 def _rank_and_minor(m: IntMatrix):
@@ -672,7 +673,7 @@ def _vanishes_in(g: FgAbGroup, rows) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class GroupHom:
-    """Integer matrix source -> target, certified well-defined on cokernels."""
+    """Integer matrix source -> target, checked well-defined on cokernels."""
 
     source: FgAbGroup
     target: FgAbGroup
@@ -812,12 +813,27 @@ def _lattice_homology(boundary_in: IntMatrix, middle: FgAbGroup, d_out: GroupHom
     return group, _LatticeData(lattice, lattice_snf, lift, s.u, diag, tuple(kept))
 
 
-def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix | None = None,
-                       diagonals: tuple | None = None) -> FgAbGroup:
+def _first_map(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix | None = None) -> IntMatrix:
+    """The first map of the free complex that ``_diagonal_homology`` reads,
+    d_in's matrix when M and N are free.  ``composite``, the matrix of
+    d_out d_in, is formed and checked (``_composite``) when None and read,
+    that is when N has a torsion coordinate."""
+    mu, nu = d_in.target.moduli, d_out.target.moduli
+    if not any(mu) and not any(nu):
+        return d_in.matrix
+    if composite is None and any(nu):
+        composite = _composite(d_in, d_out)
+    b = d_out.matrix.data
+    kept = [j for j, m in enumerate(mu) if m]
+    rows = list(IntMatrix.hstack(d_in.matrix, d_in.target.relations).data)
+    rows += [[-x // nu[i] for x in composite.data[i]] + [-b[i][j] * mu[j] // nu[i] for j in kept]
+             for i in range(len(nu)) if nu[i]]
+    return IntMatrix(len(rows), d_in.matrix.cols + len(kept), rows)
+
+
+def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix) -> FgAbGroup:
     """The homology group of S -A-> M -B-> N from bounded Smith diagonals;
-    ``composite`` is the matrix of B A (formed here when None and read),
-    and ``diagonals``, when given, are the Smith diagonals of A and B for
-    free M and N.
+    ``composite`` is the matrix of B A.
 
     With M = Z^n / diag(mu), N = Z^m / diag(nu), their relation columns R_M
     and R_N, and T the coordinates with nu_i != 0, the cell has the homology
@@ -832,29 +848,16 @@ def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix | N
     saturated, so the torsion is the Smith diagonal of the first map and the
     free rank is n + |T| - rk [B | R_N] - rk(first map), where
     rk [B | R_N] = |T| + rk(rows of B outside T).  Free M and N leave A and
-    B, whose diagonals the boundaries keep.  Z_2^n middles with Z_2^m targets
-    (real degree 1, and 2 when no vertex is paired) form a complex of
-    F_2-vector spaces, counted from the same two diagonals mod 2.
+    B, whose diagonals the boundaries keep.
     """
-    middle, target = set(d_in.target.moduli), set(d_out.target.moduli)
+    first = _first_map(d_in, d_out, composite)
     n = d_in.target.ambient_rank
-    if middle == {2} and target <= {2}:
-        dim = n - sum(1 for e in d_out.smith_diagonal + d_in.smith_diagonal if e % 2)
-        return FgAbGroup.from_invariants([2] * dim)
-    if middle | target <= {0}:
-        diag_in, diag_out = diagonals or (d_in.smith_diagonal, d_out.smith_diagonal)
-        rank_out = sum(1 for e in diag_out if e)
+    if first is d_in.matrix:
+        diag_in = d_in.smith_diagonal
+        rank_out = sum(1 for e in d_out.smith_diagonal if e)
     else:
-        mu, nu, b = d_in.target.moduli, d_out.target.moduli, d_out.matrix.data
-        if composite is None and any(nu):
-            composite = _composite(d_in, d_out)
-        kept = [j for j in range(n) if mu[j]]
-        rows = [row + tuple(mu[i] if i == j else 0 for j in kept)
-                for i, row in enumerate(d_in.matrix.data)]
-        rows += [[-x // nu[i] for x in composite.data[i]] + [-b[i][j] * mu[j] // nu[i] for j in kept]
-                 for i in range(len(nu)) if nu[i]]
-        diag_in = smith_diagonal(IntMatrix(len(rows), d_in.matrix.cols + len(kept), rows))
-        outside = [b[i] for i in range(len(nu)) if not nu[i]]
+        diag_in = smith_diagonal(first)
+        outside = [row for row, m in zip(d_out.matrix.data, d_out.target.moduli) if not m]
         rank_out = _rank_and_minor(IntMatrix(len(outside), n, outside))[0]
     rank = n - rank_out - sum(1 for e in diag_in if e)
     return FgAbGroup.from_invariants([e for e in diag_in if e >= 2], rank)
@@ -869,21 +872,17 @@ def _composite(d_in: GroupHom, d_out: GroupHom) -> IntMatrix:
     return composite
 
 
-def homology(d_in: GroupHom, d_out: GroupHom, diagonals: tuple | None = None,
-             certified: bool = False) -> HomologyResult:
+def homology(d_in: GroupHom, d_out: GroupHom) -> HomologyResult:
     """Homology at the middle of ``. -> middle -> .`` with generator lifts.
 
     Raises CompositionNotZero unless d_out o d_in vanishes as a map of
-    presented groups; for a ``certified`` pair (``koszul``) the product is
-    formed and checked only where ``_diagonal_homology`` reads it.  The
-    group is read from Smith diagonals with bounded entries; the kernel
-    lattice and the lifts are built only when asked for.  For a free middle
-    and target a caller may pass the Smith ``diagonals`` of d_in and d_out.
+    presented groups.  The group is read from Smith diagonals with bounded
+    entries (``_diagonal_homology``); the kernel lattice and the lifts are
+    built only when asked for.
     """
     if not same_presentation(d_in.target, d_out.source):
         raise ValueError("middle groups of the two boundary maps differ")
-    composite = None if certified else _composite(d_in, d_out)
-    group = _diagonal_homology(d_in, d_out, composite, diagonals)
+    group = _diagonal_homology(d_in, d_out, _composite(d_in, d_out))
     return HomologyResult(group, lambda: (d_in, d_out))
 
 

@@ -196,7 +196,9 @@ def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
 
     if config.emit_lifts:
         lifts = {}
-        for (part, p, j), cell in sorted(page.cells.items()):
+        for part, p, j in sorted((part, p, j) for part, j in page.complexes
+                                 for p in range(page.k + 1)):
+            cell = page.cell(part, p, j)
             if not cell.group.is_trivial:
                 lifts[f"{part}/{p},{j}"] = {
                     "group": cell.group.describe(),

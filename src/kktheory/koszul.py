@@ -7,7 +7,7 @@ the boundary block from tuple mu to the tuple with mu_i removed is
 two/three/four column complexes; for larger k the same block formula is used.
 
 A complex is held as A_j and the k matrices of rho^c on it; its groups, its
-boundaries and their Smith diagonals are built on first read.  Column block
+boundaries and its homology cells are built on first read.  Column block
 mu of a boundary holds only |mu| nonzero blocks, laid out row by row into
 preallocated zero rows.
 
@@ -31,17 +31,22 @@ det(R) = rho^c adj(R) is 0 on homology.  A torsion A_j is killed by the
 lcm of its moduli outright.  |det R^c| is read from ``_rank_and_minor``:
 the minor when the rank is n, else 0.
 
-The E2 page uses g three ways (``spectral.compute_e2``):
-
-* g = 1: every cell is 0.  No Smith form is needed, and the boundaries are
-  laid out only if a cell's lifts are read.
-* g >= 2 and A_j free (real degrees 0, 4, 6 and complex degree 0): every
-  cell is finite, so the complex is exact over Q and rank d_p is
-  n C(k-1, p-1).  The torsion of coker d_p is ker d_{p-1} / im d_p, a cell,
-  so every nonzero invariant factor of d_p divides g, and its diagonal is
-  read modulo g (``abelian.annihilated_smith_diagonal``).
-* g = 0, or a mixed or torsion A_j with g >= 2: the boundaries' own Smith
-  diagonals, as ``abelian.homology`` reads them.
+Every cell is read by one rule (``GradedChainComplex.cells``).  g = 1: every
+cell is 0, with no Smith form, and the boundaries are laid out only if a lift
+is read.  g = 0: ``abelian.homology``.  g >= 2: H_p is finite, and it is the
+homology of the free complex F_p, [d_p | R] of ``abelian._diagonal_homology``,
+where F_p (``abelian._first_map``) is d_{p+1} augmented at the torsion
+coordinates and R holds the relations of C_{p-1}.  A kernel is saturated, so
+the nonzero invariant factors of F_p are 1s and those of H_p, which divide g,
+and rank F_p = rank ker [d_p | R].  Let A_j have t torsion coordinates.  A
+row of rho^c at a free coordinate is 0 on torsion columns, so R^c is block
+triangular, its free block S^c has det S^c | det R^c, and the free rows of
+d_p form the Koszul complex of the S^c on Z^(n-t), exact over Q as g != 0.
+So rk [d_p | R] = t C(k, p-1) + (n - t) C(k-1, p-1), and rank F_p =
+n C(k, p) - (n - t) C(k-1, p-1) = t C(k, p) + (n - t) C(k-1, p): the cell is
+``abelian.annihilated_smith_diagonal(F_p, rank F_p, g)``, with no minor.  For
+a free A_j, F_p is d_{p+1}, and these are the Smith diagonals that
+``--emit-intermediate`` prints.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from operator import mul
 
-from .abelian import (CompositionNotZero, FgAbGroup, GroupHom, IntMatrix, _rank_and_minor,
-                      annihilated_smith_diagonal, trivial_group, zero_hom)
+from .abelian import (CompositionNotZero, FgAbGroup, GroupHom, HomologyResult, IntMatrix,
+                      _first_map, _rank_and_minor, annihilated_smith_diagonal, homology,
+                      trivial_group, zero_hom)
 from .crmodule import GradedGroupA, build_graded_group, build_rho
 from .kgraph import KGraphSpec, VertexPartition, validate
 
@@ -67,16 +73,15 @@ def index_tuples(k: int, p: int):
 
 @dataclass(frozen=True)
 class GradedChainComplex:
-    """0 -> C_k -> ... -> C_0 -> 0 for one degree of one part.
+    """0 -> C_k -> ... -> C_0 -> 0 for one degree of one part, and for every
+    degree with the same A_j and rho matrices.
 
-    ``rhos[c - 1]`` is the matrix of rho^c on ``aj`` = A_j.  ``groups`` and
-    ``boundaries`` (``boundaries[p - 1]`` is the map C_p -> C_{p-1}) are
-    laid out on first read.  ``annihilator`` is a g with g H = 0 for every
-    homology cell, 0 when none is known.
+    ``rhos[c - 1]`` is the matrix of rho^c on ``aj`` = A_j.  ``groups``,
+    ``boundaries`` (``boundaries[p - 1]`` is the map C_p -> C_{p-1}) and
+    ``cells`` (H_p for p = 0..k) are built on first read.  ``annihilator``
+    is a g with g H = 0 for every homology cell, 0 when none is known.
     """
 
-    part: str
-    degree: int
     k: int
     aj: FgAbGroup
     rhos: tuple
@@ -109,25 +114,37 @@ class GradedChainComplex:
             out.append(GroupHom(self.groups[p], self.groups[p - 1], mat))
         return tuple(out)
 
-    def diagonal(self, p: int) -> tuple:
-        """The Smith diagonal of the map leaving C_p, () for the end maps.
+    @cached_property
+    def cells(self) -> tuple:
+        """H_p for p = 0..k, by the one rule of the module docstring."""
+        g = self.annihilator
+        if g == 0:
+            return tuple(homology(self.boundary(p + 1), self.boundary(p))
+                         for p in range(self.k + 1))
+        groups = ([trivial_group()] * (self.k + 1) if g == 1 else
+                  [FgAbGroup.from_invariants([e for e in diag if e > 1])
+                   for diag in self._first_diagonals])
+        return tuple(HomologyResult(group, lambda p=p: (self.boundary(p + 1), self.boundary(p)))
+                     for p, group in enumerate(groups))
 
-        A free complex with g != 0 knows each boundary's rank and a multiple
-        of its invariant factors (see the module docstring) and reads the
-        diagonal modulo g; any other reads the boundary's own.
-        """
+    @cached_property
+    def _first_diagonals(self) -> tuple:
+        """The Smith diagonal of F_p for p = 0..k, read modulo g != 0 with
+        the rank of the module docstring."""
+        n, t = self.aj.ambient_rank, sum(1 for m in self.aj.moduli if m)
+        return tuple(annihilated_smith_diagonal(
+            _first_map(self.boundary(p + 1), self.boundary(p)),
+            t * comb(self.k, p) + (n - t) * comb(self.k - 1, p), self.annihilator)
+            for p in range(self.k + 1))
+
+    def diagonal(self, p: int) -> tuple:
+        """The Smith diagonal of the map leaving C_p, () for the end maps;
+        for a free complex with g != 0 it is F_{p-1}'s (module docstring)."""
         if not 1 <= p <= self.k:
             return ()
         if self.is_free and self.annihilator:
-            return self._annihilated_diagonals[p - 1]
+            return self._first_diagonals[p - 1]
         return self.boundaries[p - 1].smith_diagonal
-
-    @cached_property
-    def _annihilated_diagonals(self) -> tuple:
-        n = self.aj.ambient_rank
-        return tuple(annihilated_smith_diagonal(b.matrix, n * comb(self.k - 1, p - 1),
-                                                self.annihilator)
-                     for p, b in enumerate(self.boundaries, start=1))
 
     def boundary(self, p: int) -> GroupHom:
         """The map leaving C_p, extended by zero maps at both ends."""
@@ -157,8 +174,7 @@ def build_complex(spec: KGraphSpec, degree: int, part: str,
     aj = graded.group(part, degree)
     mats = tuple(rho.hom(part, degree).matrix for rho in rhos)
     _certify_commuting(aj, mats)
-    return GradedChainComplex(part=part, degree=degree, k=spec.k, aj=aj, rhos=mats,
-                              annihilator=_annihilator(aj, mats))
+    return GradedChainComplex(k=spec.k, aj=aj, rhos=mats, annihilator=_annihilator(aj, mats))
 
 
 def _certify_commuting(aj, mats):

@@ -3,8 +3,8 @@
 The E2 page is the homology of the degree-graded chain complexes; it is
 8-periodic vertically in the real part and 2-periodic in the complex part,
 and vanishes outside columns 0..k.  Each complex carries its annihilator
-g = gcd_c |det rho^c|: g = 1 makes every cell 0 without a Smith form, and a
-free complex with g >= 2 reads its boundary diagonals modulo g (``koszul``).
+g = gcd_c |det rho^c| and reads its own cells by it: g = 1 makes every cell
+0 without a Smith form, and g >= 2 reads each cell modulo g (``koszul``).
 Differentials d^r for 2 <= r <= k are not determined by the data in scope,
 so this module never guesses one: it reports every position where a nonzero
 d^r is degree-possible, and for each affected diagonal emits both the
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as _cartesian
+from math import comb
 
 from .abelian import (
     DEFAULT_EXTENSION_BOUND,
@@ -51,7 +52,7 @@ from .abelian import (
     trivial_group,
 )
 from .crmodule import COMPLEX_PERIOD, REAL_PERIOD, build_graded_group, build_rho, psi_on_A
-from .koszul import build_complex, index_tuples
+from .koszul import build_complex
 from .kgraph import KGraphSpec, VertexPartition, validate
 
 
@@ -71,13 +72,12 @@ def _period(part: str) -> int:
 class E2Page:
     k: int
     partition: VertexPartition
-    cells: dict            # (part, p, j) -> HomologyResult
     complexes: dict        # (part, j) -> GradedChainComplex, shared by equal rho maps
 
     def cell(self, part: str, p: int, q: int) -> HomologyResult | None:
         if not 0 <= p <= self.k:
             return None
-        return self.cells[(part, p, q % _period(part))]
+        return self.complexes[(part, q % _period(part))].cells[p]
 
     def group(self, part: str, p: int, q: int) -> FgAbGroup:
         cell = self.cell(part, p, q)
@@ -85,47 +85,30 @@ class E2Page:
 
 
 def compute_e2(spec: KGraphSpec) -> E2Page:
-    """Homology of every graded complex; each cell builds its generator lifts
-    when first asked for them.
+    """Every graded complex, with its homology cells read; each cell builds
+    its generator lifts when first asked for them.
 
     Two degrees with the same A_j moduli and the same rho matrices share one
-    complex, built (and certified square-zero) once, with the same cells.
+    complex, built (and checked square-zero) once, with the same cells.
     Real degrees 3, 5 and 7 always do; so do real 0, 4 and complex 0 when no
-    vertex is paired, and real 2 and 6 when none is fixed.  Its ``part`` and
-    ``degree`` name the first degree built.
+    vertex is paired, and real 2 and 6 when none is fixed.
 
-    A complex with annihilator g = 1 has every cell 0, read without its
-    boundaries, which are laid out only if a lift is asked for.  The other
-    cells go through ``homology``, and a free complex's cells get its
-    boundaries' Smith diagonals, read modulo g when g != 0 (see ``koszul``).
+    Each complex reads its cells by the annihilator rule of ``koszul``: 0
+    for g = 1, modulo g for g >= 2, through ``homology`` for g = 0.
     """
     partition = validate(spec)
     graded = build_graded_group(partition)
     rhos = tuple(build_rho(spec, c, partition, graded) for c in range(1, spec.k + 1))
-    cells = {}
     complexes = {}
-    seen = {}              # (moduli, rho matrices) -> (complex, its cells for p = 0..k)
+    seen = {}              # (moduli, rho matrices) -> complex
     for part in ("real", "complex"):
         for j in range(_period(part)):
             key = (graded.group(part, j).moduli, tuple(rho.hom(part, j).matrix for rho in rhos))
             if key not in seen:
-                cx = build_complex(spec, j, part, partition, graded, rhos)
-                seen[key] = (cx, _cells(cx))
-            complexes[(part, j)], column = seen[key]
-            cells.update(((part, p, j), h) for p, h in enumerate(column))
-    return E2Page(k=spec.k, partition=partition, cells=cells, complexes=complexes)
-
-
-def _cells(cx) -> list:
-    """The homology of one certified complex at p = 0..k."""
-    if cx.annihilator == 1:
-        zero = trivial_group()
-        return [HomologyResult(zero, lambda p=p: (cx.boundary(p + 1), cx.boundary(p)))
-                for p in range(cx.k + 1)]
-    return [homology(cx.boundary(p + 1), cx.boundary(p),
-                     (cx.diagonal(p + 1), cx.diagonal(p)) if cx.is_free else None,
-                     certified=True)
-            for p in range(cx.k + 1)]
+                seen[key] = build_complex(spec, j, part, partition, graded, rhos)
+                seen[key].cells  # read here, so that the time stays in this stage
+            complexes[(part, j)] = seen[key]
+    return E2Page(k=spec.k, partition=partition, complexes=complexes)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +199,15 @@ def _fold_extensions(groups, ext_bound):
     return tuple(sorted(acc, key=lambda g: (g.order() or 0, g.invariant_factors)))
 
 
+def _total_groups(factors, ext_bound):
+    """("determined", (G,)) when at most one factor (p, j, G) is nonzero (G = 0
+    when none is), else ("extension_ambiguous", every group they fold to)."""
+    nonzero = [g for _, _, g in factors if not g.is_trivial]
+    if len(nonzero) <= 1:
+        return "determined", (nonzero[0] if nonzero else trivial_group(),)
+    return "extension_ambiguous", _fold_extensions([g for _, _, g in factors], ext_bound)
+
+
 def _injective_variants(source: FgAbGroup, target: FgAbGroup,
                         ext_bound: int = DEFAULT_EXTENSION_BOUND):
     """Cokernel classes of injective maps source -> target (finite cells),
@@ -248,15 +240,8 @@ def assemble_diagonals(page: E2Page, report: DifferentialReport,
                         for p in range(page.k + 1))
         touching = report.touching(part, q)
         if not touching:
-            nonzero = [f for f in factors if not f[2].is_trivial]
-            if len(nonzero) <= 1:
-                only = nonzero[0][2] if nonzero else trivial_group()
-                out.append(DiagonalAssembly(part, q, factors, "determined",
-                                            (only,), None))
-            else:
-                cands = _fold_extensions([f[2] for f in factors], ext_bound)
-                out.append(DiagonalAssembly(part, q, factors,
-                                            "extension_ambiguous", cands, None))
+            status, cands = _total_groups(factors, ext_bound)
+            out.append(DiagonalAssembly(part, q, factors, status, cands, None))
             continue
 
         # enumerate the zero / injective outcome of every touching map
@@ -279,13 +264,9 @@ def assemble_diagonals(page: E2Page, report: DifferentialReport,
                 adjusted[(entry.target[0], entry.target[1])] = coker
             new_factors = tuple(
                 (p, j, adjusted.get((p, j), g)) for (p, j, g) in factors)
-            nonzero = [f for f in new_factors if not f[2].is_trivial]
-            if len(nonzero) <= 1:
-                cands = (nonzero[0][2] if nonzero else trivial_group(),)
-            else:
-                cands = _fold_extensions([f[2] for f in new_factors], ext_bound)
             label = ", ".join(lbl for lbl, _, _ in combo)
-            variants.append(DiagonalVariant(label, new_factors, tuple(cands)))
+            variants.append(DiagonalVariant(label, new_factors,
+                                            _total_groups(new_factors, ext_bound)[1]))
         out.append(DiagonalAssembly(part, q, factors, "d2_ambiguous",
                                     (), tuple(variants)))
     return out
@@ -364,11 +345,11 @@ def compute_ku_with_psi(page: E2Page, report: DifferentialReport) -> KuPsiResult
             psi.append(GroupHom(g, g, IntMatrix.zeros(0, 0)))
             continue
         p0, cell = base[q]
-        copies = len(index_tuples(page.k, p0))
         cp_group = page.complexes[("complex", 0)].groups[p0]
-        chain_component = GroupHom(cp_group, cp_group, IntMatrix.assemble(
-            [[psi_block if a == b else IntMatrix.zeros(psi_block.rows, psi_block.cols)
-              for b in range(copies)] for a in range(copies)]))
+        n, copies = psi_block.rows, comb(page.k, p0)
+        chain_component = GroupHom(cp_group, cp_group, IntMatrix(n * copies, n * copies, [
+            (0,) * (n * a) + row + (0,) * (n * (copies - a - 1))
+            for a in range(copies) for row in psi_block.data]))
         ind = induced_hom(chain_component, cell, cell)
         ku.append(cell.group)
         psi.append(GroupHom(ind.source, ind.target,

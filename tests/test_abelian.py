@@ -30,6 +30,7 @@ from kktheory import abelian
 from kktheory.abelian import (
     _diagonal_homology,
     _diagonal_mod,
+    _first_map,
     _lattice_homology,
     _rank_and_minor,
 )
@@ -428,11 +429,11 @@ def test_homology_rejects_nonzero_composition():
     with pytest.raises(CompositionNotZero):
         homology(GroupHom(z, z, from_rows([[1]])),
                  GroupHom(z, z, from_rows([[1]])))
-    # a certified pair still has the product checked where it is read: a
-    # target with a torsion coordinate
+    # the first map of the augmented complex forms the product, and checks
+    # it, where it reads it: a target with a torsion coordinate
     with pytest.raises(CompositionNotZero):
-        homology(GroupHom(z, z, from_rows([[1]])),
-                 GroupHom(z, cyclic_group(3), from_rows([[1]])), certified=True)
+        _first_map(GroupHom(z, z, from_rows([[1]])),
+                   GroupHom(z, cyclic_group(3), from_rows([[1]])))
 
 
 def test_homology_lift_round_trip():
@@ -460,8 +461,9 @@ def test_homology_lift_round_trip_mixed_torsion():
 
 
 def cell_kind(d_in, d_out):
-    """How ``_diagonal_homology`` reads the cell: free middle and target,
-    a Z_2^n middle with a Z_2^m (or no) target, or the augmented complex."""
+    """Free middle and target (read from the two boundaries' diagonals), a
+    Z_2^n middle with a Z_2^m (or no) target, or any other mixed cell; the
+    last two are read through the augmented complex."""
     middle, target = set(d_in.target.moduli), set(d_out.target.moduli)
     if middle <= {0} and target <= {0}:
         return "free"

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from kktheory import abelian
 from kktheory.abelian import (
     CompositionNotZero,
     GroupHom,
@@ -230,53 +231,71 @@ SCAN = tuple(cartesian((2, 3, 4), (4, 5, 6), range(12)))
 
 @functools.lru_cache(maxsize=None)
 def annihilator_complexes():
-    """(complex, its E2 cells, the cells' groups read without g) for every
-    distinct complex of the scan, families and lattice inputs."""
+    """(page key, complex, its E2 cells, the cells' groups read without g)
+    for every distinct complex of the scan, families and lattice inputs."""
     specs = FAMILIES + [random_valid_spec(random.Random(seed), k, nv)
                         for k, nv, seed in LATTICE + SCAN]
     out = []
     for spec in specs:
         page = compute_e2(spec)
         done = set()
-        for (part, j), cx in page.complexes.items():
+        for key, cx in page.complexes.items():
             if id(cx) in done:
                 continue
             done.add(id(cx))
-            cells = [page.cells[(part, p, j)] for p in range(cx.k + 1)]
             reference = [homology(cx.boundary(p + 1), cx.boundary(p)).group
                          for p in range(cx.k + 1)]
-            out.append((cx, cells, reference))
+            out.append((key, cx, cx.cells, reference))
     return out
 
 
 def test_every_cell_is_killed_by_the_annihilator_of_its_complex():
     # the groups come from the path that does not know g
-    paths = {"g = 1": 0, "free, g >= 2": 0, "other": 0}
-    for cx, _, reference in annihilator_complexes():
+    paths = {"g = 1": 0, "free, g >= 2": 0, "mixed or torsion, g >= 2": 0, "g = 0": 0}
+    for key, cx, _, reference in annihilator_complexes():
         g = cx.annihilator
         if g:
             for h in reference:
-                assert h.is_finite and g % h.exponent() == 0, (cx.part, cx.degree, g, h)
+                assert h.is_finite and g % h.exponent() == 0, (key, g, h)
         if any(not h.is_trivial for h in cx.groups):
-            paths["g = 1" if g == 1 else "free, g >= 2" if g and cx.is_free else "other"] += 1
+            paths["g = 0" if not g else "g = 1" if g == 1 else
+                  "free, g >= 2" if cx.is_free else "mixed or torsion, g >= 2"] += 1
     assert all(paths.values()), paths
 
 
 def test_cells_read_through_the_annihilator_match_the_general_path():
     fast = 0
-    for cx, cells, reference in annihilator_complexes():
-        assert [h.group for h in cells] == reference, (cx.part, cx.degree)
-        fast += cx.annihilator == 1 or (cx.annihilator and cx.is_free)
+    for key, cx, cells, reference in annihilator_complexes():
+        assert [h.group for h in cells] == reference, key
+        fast += cx.annihilator != 0
     assert fast
+
+
+def test_cells_with_g_at_least_2_take_no_minor(monkeypatch):
+    """A cell killed by g >= 2 is read modulo g alone: no Bareiss minor and
+    no boundary Smith diagonal, whether A_j is free, mixed or torsion."""
+    complexes = [(key, dataclasses.replace(cx), reference)
+                 for key, cx, _, reference in annihilator_complexes() if cx.annihilator >= 2]
+
+    def refuse(*args):
+        raise AssertionError("a Smith diagonal was taken through a minor")
+
+    monkeypatch.setattr(abelian, "_rank_and_minor", refuse)
+    monkeypatch.setattr(abelian, "smith_diagonal", refuse)
+    kinds = set()
+    for key, cx, reference in complexes:
+        assert [h.group for h in cx.cells] == reference, key
+        kinds.add("free" if cx.is_free else "mixed" if 0 in cx.aj.moduli else "torsion")
+    assert kinds == {"free", "mixed", "torsion"}
 
 
 def test_free_boundary_diagonals_read_modulo_g_are_the_smith_diagonals():
     # cx.diagonal is what --emit-intermediate prints
     read = 0
-    for cx, _, _ in annihilator_complexes():
+    for key, cx, _, _ in annihilator_complexes():
         if cx.is_free:
             for p, b in enumerate(cx.boundaries, start=1):
-                assert cx.diagonal(p) == smith_diagonal(b.matrix), (cx.part, cx.degree, p)
+                assert cx.diagonal(p) == smith_diagonal(b.matrix), (key, p)
                 read += cx.annihilator >= 2
     assert read
 
@@ -301,6 +320,9 @@ def test_annihilated_diagonal_refuses_a_wrong_rank():
     assert annihilated_smith_diagonal(m, 2, 1) == (1, 1)
     with pytest.raises(RuntimeError):
         annihilated_smith_diagonal(from_rows([[2]]), 0, 4)
+    # a rank above min(rows, cols) would pad with a negative count of zeros
+    with pytest.raises(RuntimeError):
+        annihilated_smith_diagonal(from_rows([[2]]), 2, 4)
 
 
 def test_annihilator_of_one_vertex_complexes():

@@ -136,7 +136,7 @@ def test_complexes_with_equal_boundaries_are_shared():
             assert boundaries(build_complex(spec, j, part)) == boundaries(cx)
         for (a, cx), (b, cy) in combinations(page.complexes.items(), 2):
             assert (cx is cy) == (boundaries(cx) == boundaries(cy)), (a, b)
-            assert (cx is cy) == all(page.cells[(a[0], p, a[1])] is page.cells[(b[0], p, b[1])]
+            assert (cx is cy) == all(page.cell(a[0], p, a[1]) is page.cell(b[0], p, b[1])
                                      for p in range(spec.k + 1)), (a, b)
         shared = page.complexes
         assert shared[("real", 3)] is shared[("real", 5)] is shared[("real", 7)]
@@ -424,7 +424,7 @@ def test_all_zero_page_builds_no_kernel_lattice(monkeypatch):
 
     monkeypatch.setattr(abelian, "kernel_lattice", refuse)
     page = compute_e2(spec)
-    assert all(cell.group.is_trivial for cell in page.cells.values())
+    assert all(cell.group.is_trivial for cx in page.complexes.values() for cell in cx.cells)
     report = differential_report(page)
     assert report.is_empty
     for part in ("real", "complex"):
