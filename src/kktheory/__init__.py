@@ -15,7 +15,7 @@ from .abelian import (
     kernel_lattice,
     smith_normal_form,
 )
-from .kgraph import KGraphError, KGraphSpec, VertexPartition, block_decompose, validate
+from .kgraph import KGraphError, KGraphSpec, VertexPartition, validate
 from .spectral import (
     CoreConstraints,
     NoSolution,

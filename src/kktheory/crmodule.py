@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix, free_group, trivial_group
-from .kgraph import KGraphSpec, VertexPartition, block_decompose, validate
+from .kgraph import KGraphSpec, VertexPartition, validate
 
 REAL_PERIOD = 8
 COMPLEX_PERIOD = 2
@@ -69,15 +69,6 @@ def build_graded_group(partition: VertexPartition) -> GradedGroupA:
     return GradedGroupA(nf, n1, real, cplx)
 
 
-def _reduce_rows(mat: IntMatrix, moduli) -> IntMatrix:
-    """Reduce entries of row i modulo moduli[i] (0 means leave alone)."""
-    rows = []
-    for i, row in enumerate(mat.data):
-        m = moduli[i]
-        rows.append([x % m for x in row] if m else list(row))
-    return IntMatrix(mat.rows, mat.cols, rows)
-
-
 @dataclass(frozen=True)
 class RhoMap:
     """A single color's graded endomorphism of A."""
@@ -97,41 +88,45 @@ class RhoMap:
 def build_rho(spec: KGraphSpec, color: int,
               partition: VertexPartition | None = None,
               graded: GradedGroupA | None = None) -> RhoMap:
-    """Assemble the per-degree matrices of rho^color from the blocks of
-    B = I - M^t.  Degree 0 complex is the full reordered B; the real degrees
-    follow the fixed block pattern (torsion rows reduced mod 2)."""
+    """The per-degree matrices of rho^color, read from B = I - M^t.
+
+    B is read once from the input rows, in partition order (fixed, paired,
+    partners), where the involution makes it [[b11, b12, b12], [b21, b22,
+    b23], [b21, b23, b22]].  Complex degree 0 is B; real degree 0 is
+    [[b11, 2 b12], [b21, b22 + b23]], degree 4 is [[b11, b12], [2 b21,
+    b22 + b23]], degree 6 is b22 - b23, and degrees 1 and 2 are [b11] and
+    [[b11, b12], [0, b22 - b23]] with their Z_2 rows reduced mod 2."""
     if partition is None:
         partition = validate(spec)
     if graded is None:
         graded = build_graded_group(partition)
-    blocks = block_decompose(spec, color, partition)
-    nf, n1 = partition.n_fixed, partition.n_paired
-    b11, b12, b21 = blocks.b11, blocks.b12, blocks.b21
-    plus = blocks.b22 + blocks.b23
-    minus = blocks.b22 - blocks.b23
-
-    deg0 = IntMatrix.assemble([[b11, b12.scaled(2)], [b21, plus]])
-    deg1 = _reduce_rows(b11, graded.group("real", 1).moduli)
-    deg2 = _reduce_rows(IntMatrix.assemble([[b11, b12], [IntMatrix.zeros(n1, nf), minus]]),
-                        graded.group("real", 2).moduli)
-    deg4 = IntMatrix.assemble([[b11, b12], [b21.scaled(2), plus]])
-    deg6 = minus
-
-    def endo(degree, mat):
-        g = graded.group("real", degree)
-        return GroupHom(g, g, mat)
-
+    if not 1 <= color <= spec.k:
+        raise ValueError(f"color must be in 1..{spec.k}")
+    m = spec.matrices[color - 1].data
+    order = partition.order
+    b = [[(v == w) - m[w][v] for w in order] for v in order]
+    f, p = partition.n_fixed, partition.n_fixed + partition.n_paired
+    fixed, paired = b[:f], b[f:p]
+    plus = [[y + z for y, z in zip(row[f:p], row[p:])] for row in paired]
+    minus = [[y - z for y, z in zip(row[f:p], row[p:])] for row in paired]
+    zeros = [0] * f
+    rows = {
+        0: [row[:f] + [2 * x for x in row[f:p]] for row in fixed]
+           + [row[:f] + s for row, s in zip(paired, plus)],
+        1: [[x % 2 for x in row[:f]] for row in fixed],
+        2: [[x % 2 for x in row[:p]] for row in fixed] + [zeros + d for d in minus],
+        4: [row[:p] for row in fixed] + [[2 * x for x in row[:f]] + s
+                                         for row, s in zip(paired, plus)],
+        6: minus,
+    }
     zero_endo = GroupHom(trivial_group(), trivial_group(), IntMatrix.zeros(0, 0))
-    real = (
-        endo(0, deg0), endo(1, deg1), endo(2, deg2), zero_endo,
-        endo(4, deg4), zero_endo, endo(6, deg6), zero_endo,
-    )
+    real = [zero_endo] * REAL_PERIOD
+    for degree, mat in rows.items():
+        g = graded.group("real", degree)
+        real[degree] = GroupHom(g, g, IntMatrix(len(mat), g.ambient_rank, mat))
     cplx_group = graded.group("complex", 0)
-    cplx = (
-        GroupHom(cplx_group, cplx_group, blocks.reassemble()),
-        zero_endo,
-    )
-    return RhoMap(color=color, real=real, cplx=cplx)
+    cplx = (GroupHom(cplx_group, cplx_group, IntMatrix(len(b), len(b), b)), zero_endo)
+    return RhoMap(color=color, real=tuple(real), cplx=cplx)
 
 
 def psi_on_A(partition: VertexPartition) -> GroupHom:

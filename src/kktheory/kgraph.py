@@ -6,11 +6,16 @@ commuting vertex adjacency matrices and the vertex action of its involution.
 Edge-level structure (factorization rules, the involution's action on edges)
 never appears here; it cannot change anything computed downstream except,
 possibly, the differentials that are reported as ambiguous.
+
+``first_noncommuting`` is the exact commutator test shared by ``validate``
+(the M_c over Z) and ``koszul`` (the rho^c in A_j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import mul
 
 from .abelian import IntMatrix
 
@@ -104,6 +109,43 @@ class VertexPartition:
         return len(self.paired)
 
 
+def first_noncommuting(mats, moduli, pairs):
+    """The first (c, d) of ``pairs`` for which row i of the commutator
+    mats[c] mats[d] - mats[d] mats[c] is not 0 modulo moduli[i] (not 0 at
+    all where moduli[i] is 0), else None.  ``mats`` are n x n row tuples.
+
+    Each row is packed once into one int with slot j at bit w j (Kronecker
+    substitution).  Every commutator entry x has |x| <= 2 n max|entry|^2
+    < 2^(w - 1), so sum_r a[i][r] packed_b[r] - b[i][r] packed_a[r] holds
+    row i of the commutator in signed slots: it is 0 exactly when the row is,
+    and a torsion row decodes its slots (``_signed_slots``).
+    """
+    n = len(moduli)
+    top = max((max(map(abs, row)) for m in mats for row in m), default=0)
+    w = (2 * n * top * top).bit_length() + 1
+    shifts = [1 << (w * j) for j in range(n)]
+    packed = [[sum(map(mul, row, shifts)) for row in m] for m in mats]
+    for c, d in pairs:
+        pa, pb = packed[c], packed[d]
+        for m, a_row, b_row in zip(moduli, mats[c], mats[d]):
+            x = sum(map(mul, a_row, pb)) - sum(map(mul, b_row, pa))
+            if x and (not m or any(s % m for s in _signed_slots(x, n, w))):
+                return c, d
+    return None
+
+
+def _signed_slots(x, n, w):
+    """The n slots of width w packed into x, each read in [-2^(w-1), 2^(w-1))."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    for _ in range(n):
+        s = x & mask
+        x >>= w
+        if s >= half:  # a negative slot borrowed 1 from the slot above it
+            s -= 1 << w
+            x += 1
+        yield s
+
+
 def validate(spec: KGraphSpec) -> VertexPartition:
     """Check every structural constraint and return the canonical partition.
 
@@ -124,20 +166,20 @@ def validate(spec: KGraphSpec) -> VertexPartition:
         if name in spec.vertices[:v]:
             raise MalformedShape(f"vertex {name} is listed twice")
 
-    for idx, m in enumerate(spec.matrices):
-        for v in range(nv):
-            for w in range(nv):
-                if m[v, w] < 0:
+    rows = [m.data for m in spec.matrices]
+    for idx, m in enumerate(rows):
+        for v, row in enumerate(m):
+            for w, x in enumerate(row):
+                if x < 0:
                     raise NegativeEntry(idx + 1, spec.vertices[v], spec.vertices[w])
 
-    for i in range(spec.k):
-        for j in range(i + 1, spec.k):
-            if spec.matrices[i] @ spec.matrices[j] != spec.matrices[j] @ spec.matrices[i]:
-                raise NonCommutingMatrices(i + 1, j + 1)
+    pair = first_noncommuting(rows, (0,) * nv, combinations(range(spec.k), 2))
+    if pair is not None:
+        raise NonCommutingMatrices(pair[0] + 1, pair[1] + 1)
 
-    for idx, m in enumerate(spec.matrices):
-        for v in range(nv):
-            if sum(m.row(v)) == 0:
+    for idx, m in enumerate(rows):
+        for v, row in enumerate(m):
+            if sum(row) == 0:
                 raise SourceAtVertex(idx + 1, spec.vertices[v])
 
     gamma = spec.involution
@@ -147,74 +189,12 @@ def validate(spec: KGraphSpec) -> VertexPartition:
         if gamma[gamma[v]] != v:
             raise NotInvolutive(f"square moves {spec.vertices[v]}")
 
-    p = IntMatrix(nv, nv, [[1 if gamma[i] == j else 0 for j in range(nv)] for i in range(nv)])
-    for idx, m in enumerate(spec.matrices):
-        if p @ m @ p != m:
+    # P M P = M for the permutation matrix P of gamma, entry by entry
+    for idx, m in enumerate(rows):
+        if any(m[gamma[v]][gamma[w]] != x for v, row in enumerate(m) for w, x in enumerate(row)):
             raise IncompatibleInvolution(idx + 1)
 
     fixed = tuple(v for v in range(nv) if gamma[v] == v)
     paired = tuple(v for v in range(nv) if gamma[v] != v and v < gamma[v])
     partners = tuple(gamma[v] for v in paired)
     return VertexPartition(fixed=fixed, paired=paired, partners=partners)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Blocks of B = I - M^t in (fixed, paired, partners) coordinates.
-
-    The involution forces the reordered B to be [[b11, b12, b12],
-    [b21, b22, b23], [b21, b23, b22]], so these five blocks carry everything.
-    """
-
-    color: int
-    b11: IntMatrix
-    b12: IntMatrix
-    b21: IntMatrix
-    b22: IntMatrix
-    b23: IntMatrix
-
-    def reassemble(self) -> IntMatrix:
-        return IntMatrix.assemble([
-            [self.b11, self.b12, self.b12],
-            [self.b21, self.b22, self.b23],
-            [self.b21, self.b23, self.b22],
-        ])
-
-
-def reordered_boundary_matrix(spec: KGraphSpec, color: int,
-                              partition: VertexPartition) -> IntMatrix:
-    """I - M_color^t with rows and columns permuted to partition order."""
-    nv = spec.vertex_count
-    m = spec.matrices[color - 1]
-    order = partition.order
-    return IntMatrix(nv, nv, [
-        [(1 if order[a] == order[b] else 0) - m[order[b], order[a]]
-         for b in range(nv)]
-        for a in range(nv)])
-
-
-def block_decompose(spec: KGraphSpec, color: int,
-                    partition: VertexPartition | None = None) -> BlockDecomposition:
-    """Extract the five independent blocks of I - M_color^t."""
-    if partition is None:
-        partition = validate(spec)
-    if not 1 <= color <= spec.k:
-        raise ValueError(f"color must be in 1..{spec.k}")
-    b = reordered_boundary_matrix(spec, color, partition)
-    nf, n1 = partition.n_fixed, partition.n_paired
-    f = range(nf)
-    g1 = range(nf, nf + n1)
-    g2 = range(nf + n1, nf + 2 * n1)
-
-    def slice_block(rows, cols):
-        return IntMatrix(len(rows), len(cols),
-                         [[b[i, j] for j in cols] for i in rows])
-
-    return BlockDecomposition(
-        color=color,
-        b11=slice_block(f, f),
-        b12=slice_block(f, g1),
-        b21=slice_block(g1, f),
-        b22=slice_block(g1, g1),
-        b23=slice_block(g1, g2),
-    )

@@ -15,6 +15,8 @@ preallocated zero rows.
 d_{p-1} d_p from e_mu to e_{mu - {c, c'}} is +-[rho^c, rho^c'], every other
 block is 0, and every pair c < c' occurs at p = 2, so d o d = 0 exactly when
 each commutator vanishes in A_j (Eisenbud, *Commutative Algebra*, ch. 17).
+The packed-row kernel ``kgraph.first_noncommuting`` tests them, one int
+per row of the commutator.
 
 This is the Koszul complex of the commuting maps rho^1, ..., rho^k on
 A_j = Z^n / diag(mu), and every cell of it is killed by
@@ -55,13 +57,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, lcm
-from operator import mul
 
 from .abelian import (CompositionNotZero, FgAbGroup, GroupHom, HomologyResult, IntMatrix,
-                      _first_map, _rank_and_minor, annihilated_smith_diagonal, homology,
-                      trivial_group, zero_hom)
+                      _first_map, _rank_and_minor, annihilated_smith_diagonal,
+                      homology, trivial_group, zero_hom)
 from .crmodule import GradedGroupA, build_graded_group, build_rho
-from .kgraph import KGraphSpec, VertexPartition, validate
+from .kgraph import KGraphSpec, VertexPartition, first_noncommuting, validate
 
 
 def index_tuples(k: int, p: int):
@@ -178,19 +179,15 @@ def build_complex(spec: KGraphSpec, degree: int, part: str,
 
 
 def _certify_commuting(aj, mats):
-    """Raise CompositionNotZero unless every entry (i, j) of each commutator
-    ab - ba, row i of a times column j of b minus row i of b times column j
-    of a, is divisible by moduli[i] (zero when free)."""
-    cols = [tuple(zip(*m.data)) for m in mats]
-    for c, (a, a_cols) in enumerate(zip(mats, cols)):
-        for d, (b, b_cols) in enumerate(zip(mats[:c], cols)):
-            for m, a_row, b_row in zip(aj.moduli, a.data, b.data):
-                for a_col, b_col in zip(a_cols, b_cols):
-                    x = sum(map(mul, a_row, b_col)) - sum(map(mul, b_row, a_col))
-                    if x % m if m else x:
-                        raise CompositionNotZero(
-                            f"boundary maps do not compose to zero: "
-                            f"rho^{d + 1} and rho^{c + 1} do not commute")
+    """Raise CompositionNotZero unless every commutator ab - ba, taken over
+    the pairs (c, d < c), vanishes in A_j: row i divisible by moduli[i],
+    zero when free (``kgraph.first_noncommuting``)."""
+    pair = first_noncommuting([m.data for m in mats], aj.moduli,
+                              ((c, d) for c in range(len(mats)) for d in range(c)))
+    if pair is not None:
+        c, d = pair
+        raise CompositionNotZero(f"boundary maps do not compose to zero: "
+                                 f"rho^{d + 1} and rho^{c + 1} do not commute")
 
 
 def _annihilator(aj, mats) -> int:

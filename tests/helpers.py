@@ -19,7 +19,9 @@ grid of n x n blocks, zero blocks included) are the oracles for the
 library's product over nonzero entries and its row-by-row boundary layout;
 ``eager_rank_and_minor`` (Bareiss rescaling every row at every step) and
 ``restarting_diagonal_mod`` (a unit search that restarts from the first row
-after each unit) are the oracles for the library's Smith diagonal steps.
+after each unit) are the oracles for the library's Smith diagonal steps.  ``block_rho`` (the blocks of I - M^t,
+assembled per degree) is the oracle for ``build_rho``, which reads the rows
+of I - M^t once.
 Matrix, group and hom constructors that no calculator code needs
 (``from_rows``, ``transpose``, ``cyclic_group``, ``direct_sum``,
 ``identity_hom``, ``compose``, ...) live here too.
@@ -44,7 +46,7 @@ from kktheory.abelian import (
     _combine,
     _vanishes_in,
 )
-from kktheory.crmodule import build_graded_group, build_rho
+from kktheory.crmodule import RhoMap, build_graded_group, build_rho
 from kktheory.kgraph import KGraphSpec, VertexPartition, validate
 from kktheory.koszul import GradedChainComplex, index_tuples
 
@@ -834,6 +836,113 @@ def complexification_degree0(partition: VertexPartition) -> IntMatrix:
         [IntMatrix.zeros(n1, nf), IntMatrix.identity(n1)],
         [IntMatrix.zeros(n1, nf), IntMatrix.identity(n1)],
     ])
+
+
+# ---------------------------------------------------------------------------
+# The block route from I - M^t to rho: the oracle for ``build_rho``
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BlockDecomposition:
+    """Blocks of B = I - M^t in (fixed, paired, partners) coordinates.
+
+    The involution forces the reordered B to be [[b11, b12, b12],
+    [b21, b22, b23], [b21, b23, b22]], so these five blocks carry everything.
+    """
+
+    color: int
+    b11: IntMatrix
+    b12: IntMatrix
+    b21: IntMatrix
+    b22: IntMatrix
+    b23: IntMatrix
+
+    def reassemble(self) -> IntMatrix:
+        return IntMatrix.assemble([
+            [self.b11, self.b12, self.b12],
+            [self.b21, self.b22, self.b23],
+            [self.b21, self.b23, self.b22],
+        ])
+
+
+def reordered_boundary_matrix(spec: KGraphSpec, color: int,
+                              partition: VertexPartition) -> IntMatrix:
+    """I - M_color^t with rows and columns permuted to partition order."""
+    nv = spec.vertex_count
+    m = spec.matrices[color - 1]
+    order = partition.order
+    return IntMatrix(nv, nv, [
+        [(1 if order[a] == order[b] else 0) - m[order[b], order[a]]
+         for b in range(nv)]
+        for a in range(nv)])
+
+
+def block_decompose(spec: KGraphSpec, color: int,
+                    partition: VertexPartition | None = None) -> BlockDecomposition:
+    """Extract the five independent blocks of I - M_color^t."""
+    if partition is None:
+        partition = validate(spec)
+    if not 1 <= color <= spec.k:
+        raise ValueError(f"color must be in 1..{spec.k}")
+    b = reordered_boundary_matrix(spec, color, partition)
+    nf, n1 = partition.n_fixed, partition.n_paired
+    f = range(nf)
+    g1 = range(nf, nf + n1)
+    g2 = range(nf + n1, nf + 2 * n1)
+
+    def slice_block(rows, cols):
+        return IntMatrix(len(rows), len(cols),
+                         [[b[i, j] for j in cols] for i in rows])
+
+    return BlockDecomposition(
+        color=color,
+        b11=slice_block(f, f),
+        b12=slice_block(f, g1),
+        b21=slice_block(g1, f),
+        b22=slice_block(g1, g1),
+        b23=slice_block(g1, g2),
+    )
+
+
+def _reduce_rows(mat: IntMatrix, moduli) -> IntMatrix:
+    """Reduce entries of row i modulo moduli[i] (0 means leave alone)."""
+    rows = []
+    for i, row in enumerate(mat.data):
+        m = moduli[i]
+        rows.append([x % m for x in row] if m else list(row))
+    return IntMatrix(mat.rows, mat.cols, rows)
+
+
+def block_rho(spec: KGraphSpec, color: int, partition: VertexPartition) -> RhoMap:
+    """rho^color assembled from the blocks of B = I - M^t: degree 0 complex is
+    the reassembled B, the real degrees follow the fixed block pattern with
+    torsion rows reduced mod 2."""
+    graded = build_graded_group(partition)
+    blocks = block_decompose(spec, color, partition)
+    nf, n1 = partition.n_fixed, partition.n_paired
+    b11, b12, b21 = blocks.b11, blocks.b12, blocks.b21
+    plus = blocks.b22 + blocks.b23
+    minus = blocks.b22 - blocks.b23
+
+    deg0 = IntMatrix.assemble([[b11, b12.scaled(2)], [b21, plus]])
+    deg1 = _reduce_rows(b11, graded.group("real", 1).moduli)
+    deg2 = _reduce_rows(IntMatrix.assemble([[b11, b12], [IntMatrix.zeros(n1, nf), minus]]),
+                        graded.group("real", 2).moduli)
+    deg4 = IntMatrix.assemble([[b11, b12], [b21.scaled(2), plus]])
+    deg6 = minus
+
+    def endo(degree, mat):
+        g = graded.group("real", degree)
+        return GroupHom(g, g, mat)
+
+    zero_endo = GroupHom(trivial_group(), trivial_group(), IntMatrix.zeros(0, 0))
+    real = (
+        endo(0, deg0), endo(1, deg1), endo(2, deg2), zero_endo,
+        endo(4, deg4), zero_endo, endo(6, deg6), zero_endo,
+    )
+    cplx_group = graded.group("complex", 0)
+    cplx = (GroupHom(cplx_group, cplx_group, blocks.reassemble()), zero_endo)
+    return RhoMap(color=color, real=real, cplx=cplx)
 
 
 # ---------------------------------------------------------------------------

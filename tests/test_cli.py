@@ -65,6 +65,19 @@ def test_non_commuting_input_fails_with_named_error(tmp_path):
     assert "NonCommutingMatrices(1,2)" in err
 
 
+@pytest.mark.parametrize("doc, line", [
+    (json.loads((pathlib.Path(__file__).parent / "data" / "noncommuting_k4.json").read_text()),
+     "NonCommutingMatrices(1,4)"),
+    ({"k": 1, "vertices": ["a", "b", "c"], "involution": [0, 1, 2],
+      "matrices": [[[1, 1, 1], [1, -2, -1], [-1, 1, 1]]]}, "NegativeEntry(color=1,b,b)"),
+    ({"k": 2, "vertices": ["a", "b"], "involution": [1, 0],
+      "matrices": [[[1, 0], [0, 2]], [[2, 0], [0, 1]]]}, "IncompatibleInvolution(1)"),
+])
+def test_validation_errors_name_the_first_failure(tmp_path, doc, line):
+    code, out, err = run_cli(["compute", write_input(tmp_path, "bad.json", doc)])
+    assert (code, out, err) == (2, "", line + "\n")
+
+
 def test_json_output_one_vertex(tmp_path):
     path = write_input(tmp_path, "ov.json", one_vertex_doc(4, 4))
     code, out, err = run_cli(["compute", path, "--format", "json"])

@@ -1,17 +1,24 @@
 import dataclasses
+import pathlib
 import random
 
-from kktheory.abelian import FgAbGroup, IntMatrix, free_group
+import pytest
+
+from kktheory.abelian import FgAbGroup, IntMatrix, free_group, same_presentation
+from kktheory.cli import load_spec
 from kktheory.crmodule import build_graded_group, build_rho, psi_on_A
-from kktheory.kgraph import validate
+from kktheory.kgraph import KGraphSpec, validate
 
 from helpers import (
     CrBlockTables,
+    asymmetric_three_vertex_spec,
+    block_rho,
     check_cr_relations,
     complex_block_table,
     complexification_degree0,
     cyclic_group,
     from_rows,
+    one_vertex_spec,
     random_valid_spec,
     real_block_table,
     standard_tables,
@@ -149,6 +156,45 @@ def test_rho_well_defined_for_random_specs():
             for j in range(8):
                 rho.hom("real", j)
             rho.hom("complex", 0)
+
+
+def oracle_specs():
+    """The 108-input scan, the paper's families, the samples, and one spec
+    with no 2-orbit and one with no fixed vertex."""
+    scan = [random_valid_spec(random.Random(seed), k, nv)
+            for k in (2, 3, 4) for nv in (4, 5, 6) for seed in range(12)]
+    families = ([one_vertex_spec(m, n) for m, n in ((4, 4), (6, 4), (6, 6), (3, 5), (5, 5), (7, 7))]
+                + [symmetric_three_vertex_spec(n) for n in (2, 3)]
+                + [asymmetric_three_vertex_spec(n) for n in (3, 4)])
+    samples = pathlib.Path(__file__).parent.parent / "sample_inputs"
+    m = [[1, 2, 0, 1], [2, 1, 1, 0], [0, 1, 1, 2], [1, 0, 2, 1]]
+    edge = [KGraphSpec.from_lists(2, ["a", "b"], [[[2, 1], [1, 2]], [[1, 1], [1, 1]]], [0, 1]),
+            KGraphSpec.from_lists(2, ["a", "b", "c", "d"], [m, (from_rows(m) @ from_rows(m)).data],
+                                  [1, 0, 3, 2])]
+    return scan + families + [load_spec(str(p)) for p in sorted(samples.glob("*.json"))] + edge
+
+
+def test_rho_matches_the_block_route():
+    shapes = set()
+    for spec in oracle_specs():
+        part = validate(spec)
+        shapes.add((part.n_fixed == 0, part.n_paired == 0))
+        for color in range(1, spec.k + 1):
+            got, want = build_rho(spec, color, part), block_rho(spec, color, part)
+            for part_name, degrees in (("real", range(8)), ("complex", range(2))):
+                for j in degrees:
+                    g, w = got.hom(part_name, j), want.hom(part_name, j)
+                    assert g.matrix == w.matrix, (spec, color, part_name, j)
+                    assert same_presentation(g.source, w.source)
+                    assert same_presentation(g.target, w.target)
+    assert shapes == {(False, False), (True, False), (False, True)}
+
+
+def test_rho_refuses_a_color_outside_1_to_k():
+    spec = symmetric_three_vertex_spec(2)
+    for color in (0, 3):
+        with pytest.raises(ValueError, match=r"color must be in 1\.\.2"):
+            build_rho(spec, color)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -10,16 +12,17 @@ from kktheory.kgraph import (
     NonCommutingMatrices,
     NotInvolutive,
     SourceAtVertex,
-    block_decompose,
-    reordered_boundary_matrix,
+    first_noncommuting,
     validate,
 )
 
 from helpers import (
     asymmetric_three_vertex_spec,
+    block_decompose,
     from_rows,
     one_vertex_spec,
     random_valid_spec,
+    reordered_boundary_matrix,
     symmetric_three_vertex_spec,
     transpose,
 )
@@ -54,6 +57,36 @@ def test_validate_non_commuting():
     with pytest.raises(NonCommutingMatrices) as err:
         validate(spec)
     assert str(err.value) == "NonCommutingMatrices(1,2)"
+
+
+def test_validate_names_the_first_noncommuting_pair_in_lexicographic_order():
+    # (1,2) and (1,3) commute, (1,4) and (2,3) do not: colour pairs i < j are
+    # tested in lexicographic order, so (1,4) comes before (2,3)
+    doc = json.loads((pathlib.Path(__file__).parent / "data" / "noncommuting_k4.json").read_text())
+    spec = KGraphSpec.from_lists(doc["k"], doc["vertices"], doc["matrices"], doc["involution"])
+    rows = [m.data for m in spec.matrices]
+    assert [first_noncommuting(rows, (0,) * 3, [pair]) is None
+            for pair in ((0, 1), (0, 2), (0, 3), (1, 2))] == [True, True, False, False]
+    with pytest.raises(NonCommutingMatrices) as err:
+        validate(spec)
+    assert err.value.colors == (1, 4)
+    assert str(err.value) == "NonCommutingMatrices(1,4)"
+
+
+def test_validate_reports_the_first_negative_entry_in_row_major_order():
+    m1 = [[1, 1, 1], [1, -2, -1], [-1, 1, 1]]
+    spec = KGraphSpec.from_lists(2, ["a", "b", "c"], [m1, [[-1, 0, 0]] * 3], [0, 1, 2])
+    with pytest.raises(NegativeEntry) as err:
+        validate(spec)
+    assert str(err.value) == "NegativeEntry(color=1,b,b)"
+
+
+def test_validate_reports_the_first_incompatible_color():
+    spec = KGraphSpec.from_lists(
+        2, ["a", "b"], [[[1, 0], [0, 2]], [[2, 0], [0, 1]]], [1, 0])
+    with pytest.raises(IncompatibleInvolution) as err:
+        validate(spec)
+    assert str(err.value) == "IncompatibleInvolution(1)"
 
 
 def test_validate_source_free():
