@@ -69,6 +69,11 @@ def build_graded_group(partition: VertexPartition) -> GradedGroupA:
     return GradedGroupA(nf, n1, real, cplx)
 
 
+# rho on the zero groups (real degrees 3, 5, 7 and complex degree 1), shared
+# by every colour: groups, matrices and homomorphisms are immutable
+_ZERO_ENDO = GroupHom(trivial_group(), trivial_group(), IntMatrix.zeros(0, 0))
+
+
 @dataclass(frozen=True)
 class RhoMap:
     """A single color's graded endomorphism of A."""
@@ -119,13 +124,12 @@ def build_rho(spec: KGraphSpec, color: int,
                                          for row, s in zip(paired, plus)],
         6: minus,
     }
-    zero_endo = GroupHom(trivial_group(), trivial_group(), IntMatrix.zeros(0, 0))
-    real = [zero_endo] * REAL_PERIOD
+    real = [_ZERO_ENDO] * REAL_PERIOD
     for degree, mat in rows.items():
         g = graded.group("real", degree)
         real[degree] = GroupHom(g, g, IntMatrix(len(mat), g.ambient_rank, mat))
     cplx_group = graded.group("complex", 0)
-    cplx = (GroupHom(cplx_group, cplx_group, IntMatrix(len(b), len(b), b)), zero_endo)
+    cplx = (GroupHom(cplx_group, cplx_group, IntMatrix(len(b), len(b), b)), _ZERO_ENDO)
     return RhoMap(color=color, real=tuple(real), cplx=cplx)
 
 

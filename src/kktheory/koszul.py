@@ -33,22 +33,38 @@ det(R) = rho^c adj(R) is 0 on homology.  A torsion A_j is killed by the
 lcm of its moduli outright.  |det R^c| is read from ``_rank_and_minor``:
 the minor when the rank is n, else 0.
 
-Every cell is read by one rule (``GradedChainComplex.cells``).  g = 1: every
-cell is 0, with no Smith form, and the boundaries are laid out only if a lift
-is read.  g = 0: ``abelian.homology``.  g >= 2: H_p is finite, and it is the
-homology of the free complex F_p, [d_p | R] of ``abelian._diagonal_homology``,
-where F_p (``abelian._first_map``) is d_{p+1} augmented at the torsion
-coordinates and R holds the relations of C_{p-1}.  A kernel is saturated, so
-the nonzero invariant factors of F_p are 1s and those of H_p, which divide g,
-and rank F_p = rank ker [d_p | R].  Let A_j have t torsion coordinates.  A
-row of rho^c at a free coordinate is 0 on torsion columns, so R^c is block
-triangular, its free block S^c has det S^c | det R^c, and the free rows of
-d_p form the Koszul complex of the S^c on Z^(n-t), exact over Q as g != 0.
-So rk [d_p | R] = t C(k, p-1) + (n - t) C(k-1, p-1), and rank F_p =
-n C(k, p) - (n - t) C(k-1, p-1) = t C(k, p) + (n - t) C(k-1, p): the cell is
-``abelian.annihilated_smith_diagonal(F_p, rank F_p, g)``, with no minor.  For
-a free A_j, F_p is d_{p+1}, and these are the Smith diagonals that
-``--emit-intermediate`` prints.
+A complex whose H_0 is 0 is exact (Nakayama's lemma).  Proof: the
+certified commutators make A_j a module over P = Z[x_1, ..., x_k], x_c
+acting as rho^c, finitely generated since it is over Z.  With I = (x_1, ...,
+x_k), H_0 = A_j / I A_j, so H_0 = 0 means I A_j = A_j, and Nakayama gives a
+in I with (1 - a) A_j = 0 (Atiyah-Macdonald, Cor. 2.5).  Every cell is a
+P-module killed by I (the contraction homotopy above) and by Ann(A_j),
+which kills every group C_p = A_j^C(k, p).  So 1 = a + (1 - a) kills every
+cell.
+
+Every cell is read by one rule (``GradedChainComplex.cells``), H_0 first.
+g = 1: every cell is 0, with no Smith form, and the boundaries are laid out
+only if a lift is read.  g = 0: H_0 through ``abelian.homology``, then, when
+it is not 0, every other cell the same way.  g >= 2: H_p is finite, and it is
+the homology of the free complex F_p, [d_p | R] of
+``abelian._diagonal_homology``, where F_p (``abelian._first_map``) is d_{p+1}
+augmented at the torsion coordinates and R holds the relations of C_{p-1}.
+A kernel is saturated, so the nonzero invariant factors of F_p are 1s and
+those of H_p, which divide g, and rank F_p = rank ker [d_p | R].  Let A_j
+have t torsion coordinates.  A row of rho^c at a free coordinate is 0 on
+torsion columns, so R^c is block triangular, its free block S^c has
+det S^c | det R^c, and the free rows of d_p form the Koszul complex of the
+S^c on Z^(n-t), exact over Q as g != 0.  So rk [d_p | R] = t C(k, p-1) +
+(n - t) C(k-1, p-1), and rank F_p = n C(k, p) - (n - t) C(k-1, p-1) =
+t C(k, p) + (n - t) C(k-1, p): the cell is
+``abelian.annihilated_smith_diagonal(F_p, rank F_p, g)``, with no minor.
+F_0 = [rho^1 | ... | rho^k | relations of A_j], of rank n, is laid out from
+the rho rows with no boundary; when its diagonal is all 1s, H_0 = 0 and no
+other cell is read, else that diagonal is cell 0 and p = 1..k follow.  For a
+free A_j, F_p is d_{p+1}, and these are the Smith diagonals that
+``--emit-intermediate`` prints.  On an exact free complex (any g) d_p has
+rank n C(k-1, p-1) and every invariant factor 1, as coker d_{p+1} = im d_p
+is free, so its diagonal is read off the rank.
 """
 
 from __future__ import annotations
@@ -79,8 +95,9 @@ class GradedChainComplex:
 
     ``rhos[c - 1]`` is the matrix of rho^c on ``aj`` = A_j.  ``groups``,
     ``boundaries`` (``boundaries[p - 1]`` is the map C_p -> C_{p-1}) and
-    ``cells`` (H_p for p = 0..k) are built on first read.  ``annihilator``
-    is a g with g H = 0 for every homology cell, 0 when none is known.
+    ``cells`` (H_p for p = 0..k) are built on first read; ``exact`` tells
+    whether every cell is 0.  ``annihilator`` is a g with g H = 0 for every
+    homology cell, 0 when none is known.
     """
 
     k: int
@@ -117,32 +134,64 @@ class GradedChainComplex:
 
     @cached_property
     def cells(self) -> tuple:
-        """H_p for p = 0..k, by the one rule of the module docstring."""
-        g = self.annihilator
-        if g == 0:
-            return tuple(homology(self.boundary(p + 1), self.boundary(p))
-                         for p in range(self.k + 1))
-        groups = ([trivial_group()] * (self.k + 1) if g == 1 else
+        """H_p for p = 0..k, by the one rule of the module docstring: H_0
+        first, and no other cell read when the complex is exact."""
+        if not self.annihilator and not self.exact:
+            return (self._h0,) + tuple(homology(self.boundary(p + 1), self.boundary(p))
+                                       for p in range(1, self.k + 1))
+        groups = ([trivial_group()] * (self.k + 1) if self.exact else
                   [FgAbGroup.from_invariants([e for e in diag if e > 1])
                    for diag in self._first_diagonals])
         return tuple(HomologyResult(group, lambda p=p: (self.boundary(p + 1), self.boundary(p)))
                      for p, group in enumerate(groups))
 
     @cached_property
+    def exact(self) -> bool:
+        """Whether every cell is 0: g = 1, or H_0 = 0 (Nakayama, module
+        docstring), read through ``homology`` when g = 0."""
+        if not self.annihilator:
+            return self._h0.group.is_trivial
+        return self.annihilator == 1 or all(e == 1 for e in self._f0_diagonal)
+
+    @cached_property
+    def _h0(self) -> HomologyResult:
+        return homology(self.boundary(1), self.boundary(0))
+
+    def _f0(self) -> IntMatrix:
+        """F_0 = [rho^1 | ... | rho^k | relations of A_j], laid out from the
+        rho rows with no boundary: ``_first_map(boundary(1), boundary(0))``."""
+        moduli = self.aj.moduli
+        torsion = [i for i, m in enumerate(moduli) if m]
+        rows = [[x for rho in self.rhos for x in rho.data[r]] + [m * (i == r) for i in torsion]
+                for r, m in enumerate(moduli)]
+        return IntMatrix(len(rows), len(rows) * self.k + len(torsion), rows)
+
+    @cached_property
+    def _f0_diagonal(self) -> tuple:
+        return annihilated_smith_diagonal(self._f0(), self._rank(0), self.annihilator)
+
+    @cached_property
     def _first_diagonals(self) -> tuple:
         """The Smith diagonal of F_p for p = 0..k, read modulo g != 0 with
         the rank of the module docstring."""
+        return (self._f0_diagonal,) + tuple(annihilated_smith_diagonal(
+            _first_map(self.boundary(p + 1), self.boundary(p)), self._rank(p), self.annihilator)
+            for p in range(1, self.k + 1))
+
+    def _rank(self, p: int) -> int:
+        """rank F_p = t C(k, p) + (n - t) C(k-1, p), when g != 0 or the
+        complex is exact (module docstring)."""
         n, t = self.aj.ambient_rank, sum(1 for m in self.aj.moduli if m)
-        return tuple(annihilated_smith_diagonal(
-            _first_map(self.boundary(p + 1), self.boundary(p)),
-            t * comb(self.k, p) + (n - t) * comb(self.k - 1, p), self.annihilator)
-            for p in range(self.k + 1))
+        return t * comb(self.k, p) + (n - t) * comb(self.k - 1, p)
 
     def diagonal(self, p: int) -> tuple:
         """The Smith diagonal of the map leaving C_p, () for the end maps;
-        for a free complex with g != 0 it is F_{p-1}'s (module docstring)."""
+        for a free complex with g != 0 it is F_{p-1}'s, all 1s up to the
+        rank when the complex is exact (module docstring)."""
         if not 1 <= p <= self.k:
             return ()
+        if self.is_free and self.exact:
+            return annihilated_smith_diagonal(self.boundaries[p - 1].matrix, self._rank(p - 1), 1)
         if self.is_free and self.annihilator:
             return self._first_diagonals[p - 1]
         return self.boundaries[p - 1].smith_diagonal

@@ -3,8 +3,9 @@
 The E2 page is the homology of the degree-graded chain complexes; it is
 8-periodic vertically in the real part and 2-periodic in the complex part,
 and vanishes outside columns 0..k.  Each complex carries its annihilator
-g = gcd_c |det rho^c| and reads its own cells by it: g = 1 makes every cell
-0 without a Smith form, and g >= 2 reads each cell modulo g (``koszul``).
+g = gcd_c |det rho^c| and reads its own cells by it, H_0 first: g = 1 makes
+every cell 0 without a Smith form, an H_0 of 0 makes every cell 0 (Nakayama),
+and otherwise g >= 2 reads each cell modulo g (``koszul``).
 Differentials d^r for 2 <= r <= k are not determined by the data in scope,
 so this module never guesses one: it reports every position where a nonzero
 d^r is degree-possible, and for each affected diagonal emits both the
@@ -94,7 +95,9 @@ def compute_e2(spec: KGraphSpec) -> E2Page:
     vertex is paired, and real 2 and 6 when none is fixed.
 
     Each complex reads its cells by the annihilator rule of ``koszul``: 0
-    for g = 1, modulo g for g >= 2, through ``homology`` for g = 0.
+    for g = 1; otherwise H_0 first, modulo g for g >= 2 and through
+    ``homology`` for g = 0, and every other cell is 0 when H_0 is and is
+    read the same way when it is not.
     """
     partition = validate(spec)
     graded = build_graded_group(partition)

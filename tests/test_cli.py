@@ -295,6 +295,38 @@ def test_seven_colour_sample_matches_its_golden_report():
     assert out == (here / "data" / "random_k7_v6_s0.txt").read_text(encoding="utf-8")
 
 
+def test_eight_colour_sample_matches_its_golden_report():
+    # random_valid_spec(random.Random(0), 8, 6), the scale guard for H_0
+    # first: each of its four complexes with annihilator g >= 2 has H_0 = 0,
+    # so it reads F_0 modulo g and no other cell
+    here = pathlib.Path(__file__).parent
+    code, out, err = run_cli(["compute", str(here.parent / "sample_inputs" / "random_k8_v6_s0.json")])
+    assert (code, err) == (0, "")
+    assert out == (here / "data" / "random_k8_v6_s0.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("k, nv, seed, keys", [
+    (4, 6, 12, {("complex", 0)}),
+    (8, 6, 0, {("real", 0), ("real", 2), ("real", 4), ("complex", 0)})])
+def test_a_text_run_lays_out_no_boundary_where_h0_is_0(tmp_path, monkeypatch, k, nv, seed, keys):
+    # benchmark input (4, 6, 12), complex degree 0 (g = 3), and every g >= 2
+    # complex of the ladder input (8, 6): each has H_0 = 0, so the whole run
+    # lays out none of its boundaries
+    pages, e2 = [], spectral.compute_e2
+
+    def keep_page(spec):
+        pages.append(e2(spec))
+        return pages[-1]
+
+    monkeypatch.setattr(spectral, "compute_e2", keep_page)
+    path = write_input(tmp_path, "in.json", spec_doc(random_valid_spec(random.Random(seed), k, nv)))
+    assert run(JobConfig(input_path=path), stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    short = {key for key, cx in pages[0].complexes.items() if cx.annihilator >= 2}
+    assert short == keys
+    assert all(pages[0].complexes[key].exact and "boundaries" not in vars(pages[0].complexes[key])
+               for key in short)
+
+
 def test_ten_colour_sample_matches_its_golden_report(monkeypatch):
     # random_valid_spec(random.Random(0), 10, 6), the scale guard for g = 1
     # growth in k: every complex has annihilator 1, so every cell is 0 and no

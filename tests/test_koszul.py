@@ -6,12 +6,14 @@ from math import gcd
 
 import pytest
 
-from kktheory import abelian
+from kktheory import abelian, koszul
 from kktheory.abelian import (
     CompositionNotZero,
     GroupHom,
     IntMatrix,
     _diagonal_mod,
+    _first_map,
+    _peel_units,
     annihilated_smith_diagonal,
     free_group,
     homology,
@@ -227,16 +229,26 @@ FAMILIES = ([one_vertex_spec(m, n) for m, n in ((4, 4), (6, 4), (6, 6), (3, 5), 
 LATTICE = ((4, 6, 12), (4, 5, 14), (4, 4, 2), (4, 6, 13),
            (4, 5, 6), (4, 4, 15), (3, 6, 13), (3, 4, 14))
 SCAN = tuple(cartesian((2, 3, 4), (4, 5, 6), range(12)))
+LADDER = ((7, 6), (8, 6), (10, 4))
+
+
+def source_specs(source):
+    """The inputs of one source: "families", "lattice", "scan" or "ladder k,nv"."""
+    if source == "families":
+        return FAMILIES
+    if source.startswith("ladder"):
+        k, nv = map(int, source.split()[1].split(","))
+        return [random_valid_spec(random.Random(0), k, nv)]
+    return [random_valid_spec(random.Random(seed), k, nv)
+            for k, nv, seed in {"lattice": LATTICE, "scan": SCAN}[source]]
 
 
 @functools.lru_cache(maxsize=None)
-def annihilator_complexes():
+def distinct_complexes(source):
     """(page key, complex, its E2 cells, the cells' groups read without g)
-    for every distinct complex of the scan, families and lattice inputs."""
-    specs = FAMILIES + [random_valid_spec(random.Random(seed), k, nv)
-                        for k, nv, seed in LATTICE + SCAN]
+    for every distinct complex of one source's inputs."""
     out = []
-    for spec in specs:
+    for spec in source_specs(source):
         page = compute_e2(spec)
         done = set()
         for key, cx in page.complexes.items():
@@ -247,6 +259,11 @@ def annihilator_complexes():
                          for p in range(cx.k + 1)]
             out.append((key, cx, cx.cells, reference))
     return out
+
+
+def annihilator_complexes():
+    """``distinct_complexes`` of the scan, families and lattice inputs."""
+    return [c for source in ("families", "lattice", "scan") for c in distinct_complexes(source)]
 
 
 def test_every_cell_is_killed_by_the_annihilator_of_its_complex():
@@ -348,3 +365,95 @@ def test_ladder_boundaries_are_the_dense_grid_and_square_zero(k, nv):
         if id(cx) not in checked:
             checked.add(id(cx))
             assert verify_square_zero(cx).all_passed, (part, j)
+
+
+# ---------------------------------------------------------------------------
+# H_0 first: a complex whose H_0 is 0 is exact (Nakayama)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("source", ["families", "lattice", "scan"]
+                         + [f"ladder {k},{nv}" for k, nv in LADDER])
+def test_h0_is_0_exactly_when_every_reference_cell_is_0(source):
+    for key, cx, cells, reference in distinct_complexes(source):
+        assert cx.exact == all(h.is_trivial for h in reference), key
+        assert cx.exact == cells[0].group.is_trivial, key
+
+
+def test_counts_of_short_circuited_complexes_with_g_at_least_2():
+    # (exact, all) among the distinct complexes with g >= 2: an exact one
+    # reads F_0 alone, where it read all k + 1 cells modulo g before
+    counts = {}
+    for source in ("lattice", "scan", "ladder 7,6", "ladder 8,6"):
+        g2 = [cx for _, cx, _, _ in distinct_complexes(source) if cx.annihilator >= 2]
+        counts[source] = (sum(cx.exact for cx in g2), len(g2))
+    assert counts == {"lattice": (6, 8), "scan": (60, 157),
+                      "ladder 7,6": (4, 4), "ladder 8,6": (4, 4)}
+
+
+def test_f0_laid_out_from_the_rho_rows_is_the_first_map_of_cell_0():
+    for key, cx, _, _ in annihilator_complexes():
+        fresh = dataclasses.replace(cx)
+        assert fresh._f0() == _first_map(fresh.boundary(1), fresh.boundary(0)), key
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_h0_is_0_where_unit_pivots_alone_do_not_show_it(k):
+    # scan input (k, 5, 3), complex degree 0: g = 6 and H_0 = 0, but modulo 6
+    # the unit pivots of F_0 leave two rows with no unit entry, so only the
+    # Smith loop finds that every invariant factor of F_0 is 1
+    cx = build_complex(random_valid_spec(random.Random(3), k, 5), 0, "complex")
+    units, rest = _peel_units([[x % 6 for x in row] for row in cx._f0().data], 6)
+    assert (cx.annihilator, cx.is_free, units, len(rest)) == (6, True, 3, 2)
+    assert not any(gcd(x, 6) == 1 for row in rest for x in row)
+    assert cx.exact and all(h.group.is_trivial for h in cx.cells)
+    assert "boundaries" not in vars(cx)
+
+
+def test_a_g_at_least_2_complex_reads_f0_once(monkeypatch):
+    # an exact complex reads F_0 and lays out no boundary; any other reads
+    # F_0 once, as its exactness test and as cell 0, then F_1 .. F_k
+    calls, read = [], annihilated_smith_diagonal
+
+    def counting(m, rank, modulus):
+        calls.append(m)
+        return read(m, rank, modulus)
+
+    monkeypatch.setattr(koszul, "annihilated_smith_diagonal", counting)
+    kinds = set()
+    for key, cx, _, reference in annihilator_complexes():
+        if cx.annihilator < 2:
+            continue
+        fresh, calls[:] = dataclasses.replace(cx), []
+        assert [h.group for h in fresh.cells] == reference, key
+        f0 = fresh._f0()
+        if fresh.exact:
+            assert calls == [f0] and "boundaries" not in vars(fresh), key
+        else:
+            assert len(calls) == fresh.k + 1 and calls[0] == f0 and f0 not in calls[1:], key
+            if fresh.is_free:  # what --emit-intermediate prints is read already
+                [fresh.diagonal(p) for p in range(1, fresh.k + 1)]
+                assert len(calls) == fresh.k + 1, key
+        kinds.add((fresh.exact, fresh.is_free))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_an_exact_free_complex_prints_unit_diagonals_with_no_smith_loop(monkeypatch):
+    # d_p of an exact complex of free modules has every invariant factor 1,
+    # so --emit-intermediate reads its diagonal off the rank alone, for
+    # g = 0, g = 1 and g >= 2
+    exact = [(key, dataclasses.replace(cx), [smith_diagonal(b.matrix) for b in cx.boundaries])
+             for source in ("scan", "ladder 7,6")
+             for key, cx, _, _ in distinct_complexes(source) if cx.is_free and cx.exact]
+    for _, cx, _ in exact:
+        cx.cells
+
+    def refuse(*args):
+        raise AssertionError("a Smith loop ran")
+
+    for name in ("_diagonal_mod", "_rank_and_minor", "smith_diagonal"):
+        monkeypatch.setattr(abelian, name, refuse)
+    kinds = set()
+    for key, cx, expected in exact:
+        assert [cx.diagonal(p) for p in range(1, cx.k + 1)] == expected, key
+        kinds.add(min(cx.annihilator, 2))
+    assert kinds == {0, 1, 2}
