@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as _cartesian
 from math import gcd, prod
+from typing import NamedTuple
 
 
 class CompositionNotZero(Exception):
@@ -652,8 +653,12 @@ def free_group(n: int) -> FgAbGroup:
     return FgAbGroup((0,) * n)
 
 
+_TRIVIAL = FgAbGroup(())
+
+
 def trivial_group() -> FgAbGroup:
-    return free_group(0)
+    """The zero group: one shared instance, as groups are immutable."""
+    return _TRIVIAL
 
 
 def same_presentation(a: FgAbGroup, b: FgAbGroup) -> bool:
@@ -706,20 +711,37 @@ def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
     return GroupHom(source, target, IntMatrix.zeros(target.ambient_rank, source.ambient_rank))
 
 
-def kernel_lattice(h: GroupHom) -> IntMatrix:
-    """Basis of { x in Z^ambient(source) : h(x) lies in the target relations span }.
+class KernelLattice(NamedTuple):
+    basis: IntMatrix
+    snf: SnfDecomposition
+
+
+def kernel_lattice(h: GroupHom) -> KernelLattice:
+    """Basis of { x in Z^ambient(source) : h(x) lies in the target relations span },
+    with a decomposition of it taken from the Smith form that picked it.
 
     The induced subgroup of the source is exactly ker(h); note the lattice
     always contains the source relations, so ker(h) is this lattice modulo
-    source relations.
+    source relations.  With g = SNF(generators), the basis is
+    u_inv[:, :r] diag(d), so g.u @ basis = [diag(d); 0] with v = I_r: a
+    decomposition of the basis, which has full column rank, so every
+    ``solve`` against it has at most one answer.  Into a group with no
+    coordinates the generators are I_n, whose Smith form moves nothing, so
+    both are the identity.
     """
+    n = h.source.ambient_rank
+    if not h.target.ambient_rank:
+        ident = IntMatrix.identity(n)
+        return KernelLattice(ident, SnfDecomposition((1,) * n, (n, n), ident, ident, ident))
     stacked = IntMatrix.hstack(h.matrix, h.target.relations)
     s = smith_normal_form(stacked)
-    generators = s.v.columns(range(s.rank, stacked.cols)).top_rows(h.source.ambient_rank)
+    generators = s.v.columns(range(s.rank, stacked.cols)).top_rows(n)
     g = smith_normal_form(generators)  # a basis of the span of the generators
-    return IntMatrix.from_columns(
-        [[g.diagonal[j] * x for x in g.u_inv.col(j)] for j in range(g.rank)],
-        rows=generators.rows)
+    r = g.rank
+    basis = IntMatrix.from_columns(
+        [[g.diagonal[j] * x for x in g.u_inv.col(j)] for j in range(r)], rows=n)
+    return KernelLattice(basis, SnfDecomposition(g.diagonal[:r], (n, r), g.u,
+                                                 IntMatrix.identity(r), g.u_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -795,9 +817,10 @@ class HomologyResult:
 
 
 def _lattice_homology(boundary_in: IntMatrix, middle: FgAbGroup, d_out: GroupHom):
-    """Homology group and lattice data through the kernel lattice of d_out."""
-    lattice = kernel_lattice(d_out)
-    lattice_snf = smith_normal_form(lattice)
+    """Homology group and lattice data through the kernel lattice of d_out,
+    solved against with the decomposition that ``kernel_lattice`` returns
+    with it; one more Smith form reads the image of d_in in the lattice."""
+    lattice, lattice_snf = kernel_lattice(d_out)
     inner = IntMatrix.hstack(boundary_in, middle.relations)
     relations_in_lattice = lattice_snf.solve(inner)
     if relations_in_lattice is None:  # impossible once composition is zero

@@ -44,8 +44,9 @@ cell.
 
 Every cell is read by one rule (``GradedChainComplex.cells``), H_0 first.
 g = 1: every cell is 0, with no Smith form, and the boundaries are laid out
-only if a lift is read.  g = 0: H_0 through ``abelian.homology``, then, when
-it is not 0, every other cell the same way.  g >= 2: H_p is finite, and it is
+only if a lift is read.  g = 0: H_0 = coker F_0 (F_0 below), read from its
+Smith diagonal over Z with no boundary laid out, then, when it is not 0,
+every other cell through ``abelian.homology``.  g >= 2: H_p is finite, and it is
 the homology of the free complex F_p, [d_p | R] of
 ``abelian._diagonal_homology``, where F_p (``abelian._first_map``) is d_{p+1}
 augmented at the torsion coordinates and R holds the relations of C_{p-1}.
@@ -76,7 +77,7 @@ from math import comb, gcd, lcm
 
 from .abelian import (CompositionNotZero, FgAbGroup, GroupHom, HomologyResult, IntMatrix,
                       _first_map, _rank_and_minor, annihilated_smith_diagonal,
-                      homology, trivial_group, zero_hom)
+                      homology, smith_diagonal, trivial_group, zero_hom)
 from .crmodule import GradedGroupA, build_graded_group, build_rho
 from .kgraph import KGraphSpec, VertexPartition, first_noncommuting, validate
 
@@ -136,26 +137,34 @@ class GradedChainComplex:
     def cells(self) -> tuple:
         """H_p for p = 0..k, by the one rule of the module docstring: H_0
         first, and no other cell read when the complex is exact."""
-        if not self.annihilator and not self.exact:
-            return (self._h0,) + tuple(homology(self.boundary(p + 1), self.boundary(p))
-                                       for p in range(1, self.k + 1))
-        groups = ([trivial_group()] * (self.k + 1) if self.exact else
-                  [FgAbGroup.from_invariants([e for e in diag if e > 1])
-                   for diag in self._first_diagonals])
-        return tuple(HomologyResult(group, lambda p=p: (self.boundary(p + 1), self.boundary(p)))
-                     for p, group in enumerate(groups))
+        if self.exact:
+            groups = [trivial_group()] * (self.k + 1)
+        elif self.annihilator:
+            groups = [FgAbGroup.from_invariants([e for e in diag if e > 1])
+                      for diag in self._first_diagonals]
+        else:
+            if self.is_free:  # d_1 is F_0, whose diagonal H_0 has read: keep it for H_1
+                vars(self.boundaries[0])["smith_diagonal"] = self._f0_diagonal
+            return (self._cell(0, self._h0),) + tuple(
+                homology(self.boundary(p + 1), self.boundary(p)) for p in range(1, self.k + 1))
+        return tuple(self._cell(p, group) for p, group in enumerate(groups))
+
+    def _cell(self, p: int, group: FgAbGroup) -> HomologyResult:
+        return HomologyResult(group, lambda: (self.boundary(p + 1), self.boundary(p)))
 
     @cached_property
     def exact(self) -> bool:
         """Whether every cell is 0: g = 1, or H_0 = 0 (Nakayama, module
-        docstring), read through ``homology`` when g = 0."""
-        if not self.annihilator:
-            return self._h0.group.is_trivial
+        docstring), read off F_0's diagonal."""
         return self.annihilator == 1 or all(e == 1 for e in self._f0_diagonal)
 
-    @cached_property
-    def _h0(self) -> HomologyResult:
-        return homology(self.boundary(1), self.boundary(0))
+    @property
+    def _h0(self) -> FgAbGroup:
+        """H_0 = coker F_0 when g = 0: the entries >= 2 of its diagonal over
+        Z, and n - rank F_0 free summands."""
+        diag = self._f0_diagonal
+        return FgAbGroup.from_invariants([e for e in diag if e > 1],
+                                         self.aj.ambient_rank - sum(1 for e in diag if e))
 
     def _f0(self) -> IntMatrix:
         """F_0 = [rho^1 | ... | rho^k | relations of A_j], laid out from the
@@ -168,6 +177,10 @@ class GradedChainComplex:
 
     @cached_property
     def _f0_diagonal(self) -> tuple:
+        """The Smith diagonal of F_0: modulo g, of rank n, when g != 0, and
+        over Z when g = 0."""
+        if not self.annihilator:
+            return smith_diagonal(self._f0())
         return annihilated_smith_diagonal(self._f0(), self._rank(0), self.annihilator)
 
     @cached_property
@@ -186,12 +199,14 @@ class GradedChainComplex:
 
     def diagonal(self, p: int) -> tuple:
         """The Smith diagonal of the map leaving C_p, () for the end maps;
-        for a free complex with g != 0 it is F_{p-1}'s, all 1s up to the
-        rank when the complex is exact (module docstring)."""
+        for a free complex it is F_{p-1}'s when g != 0 or p = 1, all 1s up to
+        the rank when the complex is exact (module docstring)."""
         if not 1 <= p <= self.k:
             return ()
         if self.is_free and self.exact:
             return annihilated_smith_diagonal(self.boundaries[p - 1].matrix, self._rank(p - 1), 1)
+        if self.is_free and p == 1:  # d_1 is F_0
+            return self._f0_diagonal
         if self.is_free and self.annihilator:
             return self._first_diagonals[p - 1]
         return self.boundaries[p - 1].smith_diagonal

@@ -320,9 +320,12 @@ def compute_ku_with_psi(page: E2Page, report: DifferentialReport) -> KuPsiResult
     """KU_q read off the complex diagonals; psi induced by the coordinate
     swap of paired vertices, extended by psi_{q+2} = -psi_q.
 
-    When a complex diagonal carries more than one nonzero factor, or the
-    report lists a possible nonzero complex differential, the result is
-    returned flagged ambiguous instead of guessing.
+    psi has period 4, so four maps are built, psi_0, psi_1 and their
+    normalised negations, and psi_{q+4} is psi_q itself; the swap on A is
+    laid out only when a KU cell is nonzero.  When a complex diagonal
+    carries more than one nonzero factor, or the report lists a possible
+    nonzero complex differential, the result is returned flagged ambiguous
+    instead of guessing.
     """
     complex_entries = [e for e in report.entries if e.part == "complex"]
     if complex_entries:
@@ -338,7 +341,7 @@ def compute_ku_with_psi(page: E2Page, report: DifferentialReport) -> KuPsiResult
                 None, None)
         base[q] = nonzero[0] if nonzero else None
 
-    psi_block = psi_on_A(page.partition).matrix
+    psi_block = psi_on_A(page.partition).matrix if any(base.values()) else None
     ku = []
     psi = []
     for q in (0, 1):
@@ -357,15 +360,9 @@ def compute_ku_with_psi(page: E2Page, report: DifferentialReport) -> KuPsiResult
         ku.append(cell.group)
         psi.append(GroupHom(ind.source, ind.target,
                             _normalize_endo(cell.group, ind.matrix)))
-
-    full_ku = tuple(ku[q % 2] for q in range(8))
-    full_psi = []
-    for q in range(8):
-        base_hom = psi[q % 2]
-        mat = base_hom.matrix if (q // 2) % 2 == 0 else -base_hom.matrix
-        full_psi.append(GroupHom(base_hom.source, base_hom.target,
-                                 _normalize_endo(full_ku[q], mat)))
-    return KuPsiResult(False, None, full_ku, tuple(full_psi))
+    psi += [GroupHom(h.source, h.target, _normalize_endo(g, -h.matrix))
+            for g, h in zip(ku, psi)]
+    return KuPsiResult(False, None, tuple(ku) * 4, tuple(psi) * 2)
 
 
 def compute_mu(ku, psi):
@@ -423,7 +420,8 @@ def enumerate_core_solutions(mu_groups, constraints: CoreConstraints | None = No
     survives only while 0 <= eta_m <= c_{m-1} and MO_m meets the rank bound
     and the constraints; a table is kept when MO_0 = eta_7 + c_7 closes the
     sequence.  Every loop runs over the MU ranks, so the rank bound only
-    filters.  Returns the solutions sorted lexicographically.
+    filters.  Returns the solutions sorted lexicographically, each rank's
+    group Z_2^r one object shared by every table.
 
     Every table has MO_m <= mu_{m-1} + mu_{m+2}, since
     MO_m = (mu_{m+2} - c_{m+2}) + eta_m and eta_m <= c_{m-1} <= mu_{m-1};
@@ -450,8 +448,8 @@ def enumerate_core_solutions(mu_groups, constraints: CoreConstraints | None = No
                                 f"{min(max(vec) for vec in wider)}")
     if not found:
         raise NoSolution("no MO table satisfies the core constraints")
-    return [tuple(FgAbGroup.from_invariants([2] * r) for r in vec)
-            for vec in sorted(found)]
+    groups = {r: FgAbGroup.from_invariants([2] * r) for r in {r for vec in found for r in vec}}
+    return [tuple(groups[r] for r in vec) for vec in sorted(found)]
 
 
 def _core_tables(mu, constraints, rank_bound):

@@ -13,7 +13,8 @@ down the structure the library builds on.  ``group_from_presentation`` and
 ``in_span`` read a group and a span from a general relations matrix by Smith
 normal form: the oracles for the library's groups, which are held as one
 modulus per coordinate.  ``kernel_basis`` and ``column_span_basis`` are the
-two steps of ``kernel_lattice``, written out on their own.  ``dense_matmul``
+two steps of ``kernel_lattice``, written out on their own, and
+``two_snf_kernel_lattice`` takes both for every target, the zero group too.  ``dense_matmul``
 (every row against every column) and ``dense_koszul_boundaries`` (a full
 grid of n x n blocks, zero blocks included) are the oracles for the
 library's product over nonzero entries and its row-by-row boundary layout;
@@ -549,6 +550,18 @@ def column_span_basis(a: IntMatrix) -> IntMatrix:
     diag = s.diagonal
     cols = [tuple(diag[j] * x for x in s.u_inv.col(j)) for j in range(s.rank)]
     return IntMatrix.from_columns(cols, rows=a.rows)
+
+
+def two_snf_kernel_lattice(h: GroupHom):
+    """The kernel lattice of ``h`` by its two Smith forms for every target,
+    one with no coordinates included: the basis u_inv[:, :r] diag(d) of the
+    span of the generators (``column_span_basis``), and the decomposition
+    u, I_r of that basis."""
+    n = h.source.ambient_rank
+    generators = kernel_basis(IntMatrix.hstack(h.matrix, h.target.relations)).top_rows(n)
+    g, basis = smith_normal_form(generators), column_span_basis(generators)
+    return basis, SnfDecomposition(g.diagonal[:g.rank], (n, g.rank), g.u,
+                                   IntMatrix.identity(g.rank), g.u_inv)
 
 
 # ---------------------------------------------------------------------------

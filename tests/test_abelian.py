@@ -249,7 +249,7 @@ def test_kernel_and_span_helpers():
     assert in_span(basis, m) and in_span(m, basis)
     h = GroupHom(free_group(2), cyclic_group(6), from_rows([[2, 4]]))
     stacked = IntMatrix.hstack(h.matrix, h.target.relations)
-    assert kernel_lattice(h) == column_span_basis(kernel_basis(stacked).top_rows(2))
+    assert kernel_lattice(h).basis == column_span_basis(kernel_basis(stacked).top_rows(2))
     assert solve_in_span(m, IntMatrix.column([2, 1])) is not None
     assert solve_in_span(m, IntMatrix.column([1, 0])) is None
 
@@ -359,7 +359,7 @@ def test_hom_certificate_rejects_bad_map():
 def test_kernel_lattice_of_doubled_map():
     b = symmetric_b(2)
     h = GroupHom(free_group(6), free_group(3), IntMatrix.hstack(b, b))
-    lattice = kernel_lattice(h)
+    lattice = kernel_lattice(h).basis
     expected = from_rows([
         [1, 0, 0], [0, 1, 0], [0, 0, 1],
         [-1, 0, 0], [0, -1, 0], [0, 0, -1]])
@@ -369,15 +369,15 @@ def test_kernel_lattice_of_doubled_map():
 def test_kernel_lattice_identity_and_zero():
     z2 = free_group(2)
     ident = identity_hom(z2)
-    assert kernel_lattice(ident).cols == 0
+    assert kernel_lattice(ident).basis.cols == 0
     zero = zero_hom(z2, free_group(1))
-    lattice = kernel_lattice(zero)
+    lattice = kernel_lattice(zero).basis
     assert abs(determinant(lattice)) == 1  # all of Z^2
 
 
 def test_kernel_lattice_includes_torsion_directions():
     h = GroupHom(free_group(1), cyclic_group(2), from_rows([[1]]))
-    lattice = kernel_lattice(h)
+    lattice = kernel_lattice(h).basis
     assert in_span(lattice, IntMatrix.column([2]))
     assert not in_span(lattice, IntMatrix.column([1]))
 

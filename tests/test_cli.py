@@ -305,6 +305,17 @@ def test_eight_colour_sample_matches_its_golden_report():
     assert out == (here / "data" / "random_k8_v6_s0.txt").read_text(encoding="utf-8")
 
 
+def test_matrix_psi_sample_matches_its_golden_report():
+    # random_valid_spec(random.Random(7), 2, 4): KU_0 = Z_2 + Z_2 + Z_6 + Z_48,
+    # so psi is printed as a 4 x 4 matrix, read through the kernel lattices
+    # of the KU cells
+    here = pathlib.Path(__file__).parent
+    code, out, err = run_cli(["compute", str(here.parent / "sample_inputs" / "random_k2_v4_s7.json")])
+    assert (code, err) == (0, "")
+    assert out == (here / "data" / "random_k2_v4_s7.txt").read_text(encoding="utf-8")
+    assert "psi_0 = [[1, 0, 0, 1], [1, 0, 1, 1], [3, 3, 0, 2], [24, 0, 32, 3]]" in out
+
+
 @pytest.mark.parametrize("k, nv, seed, keys", [
     (4, 6, 12, {("complex", 0)}),
     (8, 6, 0, {("real", 0), ("real", 2), ("real", 4), ("complex", 0)})])

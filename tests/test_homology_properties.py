@@ -42,7 +42,7 @@ def cells(draw):
     coeff = st.integers(-3, 3)
     b = [[draw(coeff) * step(nu, mu) for mu in middle.moduli] for nu in target.moduli]
     d_out = GroupHom(middle, target, IntMatrix(m, n, b))
-    lattice = kernel_lattice(d_out)
+    lattice = kernel_lattice(d_out).basis
     s = draw(st.integers(0, 3))
     combos = IntMatrix(lattice.cols, s, [[draw(coeff) for _ in range(s)]
                                          for _ in range(lattice.cols)])

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from kktheory import abelian
+from kktheory import abelian, spectral
 from kktheory.abelian import (
     BoundExceeded,
     FgAbGroup,
@@ -289,6 +289,53 @@ def test_mu_even_cyclic_with_trivial_psi():
     g = cyclic_group(4)
     mu = compute_mu([g] * 8, [scalar_psi(g, 1)] * 8)
     assert all(x == Z2 for x in mu)
+
+
+# the benchmark's families, then the five exit-0 scan inputs whose psi is
+# printed as a matrix
+SHARING = ([(f"one_vertex_{m}_{n}", one_vertex_spec(m, n))
+            for m, n in ((4, 4), (6, 4), (6, 6), (3, 5), (5, 5), (7, 7))]
+           + [(f"symmetric_{n}", symmetric_three_vertex_spec(n)) for n in (2, 3)]
+           + [(f"asymmetric_{n}", asymmetric_three_vertex_spec(n)) for n in (3, 4)]
+           + [(f"scan_{k}_{nv}_{seed}", random_valid_spec(random.Random(seed), k, nv))
+              for k, nv, seed in ((2, 4, 7), (2, 4, 9), (2, 5, 11), (2, 6, 3), (2, 6, 6))])
+
+
+@pytest.mark.parametrize("name, spec", SHARING, ids=[name for name, _ in SHARING])
+def test_psi_and_the_core_tables_share_their_values(name, spec):
+    # psi has period 4: psi_{q+4} is psi_q itself and psi_{q+2} is -psi_q,
+    # reduced into [0, d) on a Z_d row; the MO tables hold one Z_2^r per rank
+    result = run_pipeline(spec)
+    ku, psi = result.kupsi.ku, result.kupsi.psi
+    for q in range(4):
+        assert psi[q + 4] is psi[q] and ku[q + 4] is ku[q], q
+    for q in range(2):
+        g, a, b = ku[q], psi[q].matrix, psi[q + 2].matrix
+        assert ku[q + 2] is g and psi[q + 2].source is g
+        moduli = g.invariant_factors + (0,) * g.free_rank
+        for i, d in enumerate(moduli):
+            for j in range(len(moduli)):
+                assert ((a[i, j] + b[i, j]) % d == 0 and 0 <= b[i, j] < d if d
+                        else b[i, j] == -a[i, j]), (q, i, j)
+    if name.startswith("scan"):
+        assert result.kupsi.psi_scalar(0) is None
+    shared = {}
+    for table in result.solutions:
+        for group in table:
+            assert shared.setdefault(group.ambient_rank, group) is group
+    assert trivial_group() is trivial_group()
+
+
+def test_psi_on_a_is_not_built_when_every_ku_group_is_0(monkeypatch):
+    # scan input (2, 4, 1): KU = 0 in every degree
+    def refuse(partition):
+        raise AssertionError("the swap on A was laid out")
+
+    monkeypatch.setattr(spectral, "psi_on_A", refuse)
+    page = compute_e2(random_valid_spec(random.Random(1), 2, 4))
+    result = compute_ku_with_psi(page, differential_report(page))
+    assert not result.ambiguous and all(g.is_trivial for g in result.ku)
+    assert all(h.matrix.shape == (0, 0) for h in result.psi)
 
 
 def test_mu_from_pipeline_is_two_torsion():
