@@ -14,9 +14,8 @@ ever touches floating point, so results are exact at any size.  The pieces:
   no minor: given the rank and a multiple of every nonzero invariant factor
   (a Koszul complex's annihilator, see ``koszul``), it reads the chain
   modulo that, as ``smith_diagonal`` does modulo D (``_chain_mod``).
-  Nothing is memoized across calls: a boundary keeps its diagonal
-  (``GroupHom.smith_diagonal``) and a homology cell the decomposition of
-  its kernel lattice.
+  Nothing is memoized across calls: a homology cell keeps the
+  decomposition of its kernel lattice.
 * ``FgAbGroup`` -- a finitely generated abelian group Z^n modulo one modulus
   per coordinate (0 for a free coordinate), carrying its canonical
   invariant-factor decomposition.  Every group of the calculator has this
@@ -645,8 +644,10 @@ class FgAbGroup:
 
     @staticmethod
     def from_invariants(factors, free_rank=0) -> "FgAbGroup":
-        """Group with one generator per cyclic factor, then ``free_rank`` free ones."""
-        return FgAbGroup(tuple(int(d) for d in factors) + (0,) * free_rank)
+        """Group with one generator per cyclic factor, then ``free_rank`` free
+        ones; ``trivial_group()`` when there are none."""
+        moduli = tuple(int(d) for d in factors) + (0,) * free_rank
+        return FgAbGroup(moduli) if moduli else _TRIVIAL
 
 
 def free_group(n: int) -> FgAbGroup:
@@ -697,11 +698,6 @@ class GroupHom:
         if not _vanishes_in(self.target, images):
             raise NotWellDefined(
                 "matrix does not map source relations into target relations")
-
-    @cached_property
-    def smith_diagonal(self) -> tuple:
-        """The Smith diagonal of the matrix, computed on first use."""
-        return smith_diagonal(self.matrix)
 
     def __repr__(self):
         return f"GroupHom({self.source.describe()} -> {self.target.describe()})"
@@ -870,18 +866,13 @@ def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix) ->
     the first map covers im A + im R_M.  A kernel of free modules is
     saturated, so the torsion is the Smith diagonal of the first map and the
     free rank is n + |T| - rk [B | R_N] - rk(first map), where
-    rk [B | R_N] = |T| + rk(rows of B outside T).  Free M and N leave A and
-    B, whose diagonals the boundaries keep.
+    rk [B | R_N] = |T| + rk(rows of B outside T).  There is one path: when M
+    and N are free the first map is A and every row of B is outside T.
     """
-    first = _first_map(d_in, d_out, composite)
+    diag_in = smith_diagonal(_first_map(d_in, d_out, composite))
     n = d_in.target.ambient_rank
-    if first is d_in.matrix:
-        diag_in = d_in.smith_diagonal
-        rank_out = sum(1 for e in d_out.smith_diagonal if e)
-    else:
-        diag_in = smith_diagonal(first)
-        outside = [row for row, m in zip(d_out.matrix.data, d_out.target.moduli) if not m]
-        rank_out = _rank_and_minor(IntMatrix(len(outside), n, outside))[0]
+    outside = [row for row, m in zip(d_out.matrix.data, d_out.target.moduli) if not m]
+    rank_out = _rank_and_minor(IntMatrix(len(outside), n, outside))[0]
     rank = n - rank_out - sum(1 for e in diag_in if e)
     return FgAbGroup.from_invariants([e for e in diag_in if e >= 2], rank)
 

@@ -42,30 +42,37 @@ P-module killed by I (the contraction homotopy above) and by Ann(A_j),
 which kills every group C_p = A_j^C(k, p).  So 1 = a + (1 - a) kills every
 cell.
 
-Every cell is read by one rule (``GradedChainComplex.cells``), H_0 first.
-g = 1: every cell is 0, with no Smith form, and the boundaries are laid out
-only if a lift is read.  g = 0: H_0 = coker F_0 (F_0 below), read from its
-Smith diagonal over Z with no boundary laid out, then, when it is not 0,
-every other cell through ``abelian.homology``.  g >= 2: H_p is finite, and it is
-the homology of the free complex F_p, [d_p | R] of
-``abelian._diagonal_homology``, where F_p (``abelian._first_map``) is d_{p+1}
-augmented at the torsion coordinates and R holds the relations of C_{p-1}.
-A kernel is saturated, so the nonzero invariant factors of F_p are 1s and
-those of H_p, which divide g, and rank F_p = rank ker [d_p | R].  Let A_j
-have t torsion coordinates.  A row of rho^c at a free coordinate is 0 on
-torsion columns, so R^c is block triangular, its free block S^c has
-det S^c | det R^c, and the free rows of d_p form the Koszul complex of the
-S^c on Z^(n-t), exact over Q as g != 0.  So rk [d_p | R] = t C(k, p-1) +
-(n - t) C(k-1, p-1), and rank F_p = n C(k, p) - (n - t) C(k-1, p-1) =
-t C(k, p) + (n - t) C(k-1, p): the cell is
-``abelian.annihilated_smith_diagonal(F_p, rank F_p, g)``, with no minor.
-F_0 = [rho^1 | ... | rho^k | relations of A_j], of rank n, is laid out from
-the rho rows with no boundary; when its diagonal is all 1s, H_0 = 0 and no
-other cell is read, else that diagonal is cell 0 and p = 1..k follow.  For a
-free A_j, F_p is d_{p+1}, and these are the Smith diagonals that
-``--emit-intermediate`` prints.  On an exact free complex (any g) d_p has
-rank n C(k-1, p-1) and every invariant factor 1, as coker d_{p+1} = im d_p
-is free, so its diagonal is read off the rank.
+Every cell is read by one rule (``GradedChainComplex.cells``), H_0 first,
+off the Smith diagonals of the first maps F_0, ..., F_k.  F_p
+(``abelian._first_map``) is d_{p+1} augmented at the torsion coordinates, the
+first map of the free complex F_p, [d_p | R] of ``abelian._diagonal_homology``
+with the homology of the cell, where R holds the relations of C_{p-1}.  F_0 =
+[rho^1 | ... | rho^k | relations of A_j] is laid out from the rho rows with no
+boundary.  If g = 1, or the diagonal of F_0 is all 1s, H_0 = 0 and every cell
+is 0: no other F_p is read, and the boundaries are laid out only if a lift is
+read.  Otherwise, with n the coordinates of A_j and t the torsion ones:
+
+    the torsion of H_p is the entries >= 2 of diag F_p, and its free rank is
+    n C(k, p) - rank F_p - (rank F_{p-1} - t C(k, p-1)), the bracket 0 at p = 0.
+
+A kernel is saturated, so the torsion is read off F_p, and the free rank is
+n C(k, p) - rank F_p - rk(free rows of d_p).  The bracket is that rank: the
+relation columns of C_{p-1} cover its t C(k, p-1) torsion rows, so
+rk [d_p | R] = t C(k, p-1) + rk(free rows of d_p), and the rows of F_{p-1}
+below [d_p | R] are rational combinations of them, so rank F_{p-1} =
+rk [d_p | R].  The diagonal of F_p is read over Z (``abelian.smith_diagonal``)
+when g = 0, and modulo g with its rank known when g != 0.  With g != 0,
+H_p is finite, and the nonzero invariant factors of F_p are 1s and those of H_p,
+which divide g.  A row of rho^c at a free coordinate is 0 on torsion columns,
+so R^c is block triangular, its free block S^c has det S^c | det R^c, and the
+free rows of d_p form the Koszul complex of the S^c on Z^(n-t), exact over Q
+as g != 0.  So rk [d_p | R] = t C(k, p-1) + (n - t) C(k-1, p-1), and rank
+F_p = n C(k, p) - (n - t) C(k-1, p-1) = t C(k, p) + (n - t) C(k-1, p): the
+cell is ``abelian.annihilated_smith_diagonal(F_p, rank F_p, g)``, with no
+minor, and the free rank is 0.  For a free A_j, F_p is d_{p+1}, and these are
+the Smith diagonals that ``--emit-intermediate`` prints.  On an exact free
+complex (any g) d_p has rank n C(k-1, p-1) and every invariant factor 1, as
+coker d_{p+1} = im d_p is free, so its diagonal is read off the rank.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ from math import comb, gcd, lcm
 
 from .abelian import (CompositionNotZero, FgAbGroup, GroupHom, HomologyResult, IntMatrix,
                       _first_map, _rank_and_minor, annihilated_smith_diagonal,
-                      homology, smith_diagonal, trivial_group, zero_hom)
+                      smith_diagonal, trivial_group, zero_hom)
 from .crmodule import GradedGroupA, build_graded_group, build_rho
 from .kgraph import KGraphSpec, VertexPartition, first_noncommuting, validate
 
@@ -139,14 +146,15 @@ class GradedChainComplex:
         first, and no other cell read when the complex is exact."""
         if self.exact:
             groups = [trivial_group()] * (self.k + 1)
-        elif self.annihilator:
-            groups = [FgAbGroup.from_invariants([e for e in diag if e > 1])
-                      for diag in self._first_diagonals]
         else:
-            if self.is_free:  # d_1 is F_0, whose diagonal H_0 has read: keep it for H_1
-                vars(self.boundaries[0])["smith_diagonal"] = self._f0_diagonal
-            return (self._cell(0, self._h0),) + tuple(
-                homology(self.boundary(p + 1), self.boundary(p)) for p in range(1, self.k + 1))
+            k, n, t = self.k, self.aj.ambient_rank, self.aj.ambient_rank - self.aj.free_rank
+            diags = self._first_diagonals
+            ranks = [sum(1 for e in diag if e) for diag in diags]
+            # rank F_{p-1} - t C(k, p-1) is the rank of the free rows of d_p; d_0 has none
+            groups = [FgAbGroup.from_invariants(
+                [e for e in diag if e > 1],
+                n * comb(k, p) - ranks[p] - (ranks[p - 1] - t * comb(k, p - 1) if p else 0))
+                for p, diag in enumerate(diags)]
         return tuple(self._cell(p, group) for p, group in enumerate(groups))
 
     def _cell(self, p: int, group: FgAbGroup) -> HomologyResult:
@@ -157,14 +165,6 @@ class GradedChainComplex:
         """Whether every cell is 0: g = 1, or H_0 = 0 (Nakayama, module
         docstring), read off F_0's diagonal."""
         return self.annihilator == 1 or all(e == 1 for e in self._f0_diagonal)
-
-    @property
-    def _h0(self) -> FgAbGroup:
-        """H_0 = coker F_0 when g = 0: the entries >= 2 of its diagonal over
-        Z, and n - rank F_0 free summands."""
-        diag = self._f0_diagonal
-        return FgAbGroup.from_invariants([e for e in diag if e > 1],
-                                         self.aj.ambient_rank - sum(1 for e in diag if e))
 
     def _f0(self) -> IntMatrix:
         """F_0 = [rho^1 | ... | rho^k | relations of A_j], laid out from the
@@ -177,19 +177,25 @@ class GradedChainComplex:
 
     @cached_property
     def _f0_diagonal(self) -> tuple:
-        """The Smith diagonal of F_0: modulo g, of rank n, when g != 0, and
-        over Z when g = 0."""
-        if not self.annihilator:
-            return smith_diagonal(self._f0())
-        return annihilated_smith_diagonal(self._f0(), self._rank(0), self.annihilator)
+        """The Smith diagonal of F_0."""
+        return self._smith_diagonal(self._f0(), 0)
 
     @cached_property
     def _first_diagonals(self) -> tuple:
-        """The Smith diagonal of F_p for p = 0..k, read modulo g != 0 with
-        the rank of the module docstring."""
-        return (self._f0_diagonal,) + tuple(annihilated_smith_diagonal(
-            _first_map(self.boundary(p + 1), self.boundary(p)), self._rank(p), self.annihilator)
+        """The Smith diagonal of F_p for p = 0..k; on an exact complex its 1s
+        alone, up to the rank, with no F_p laid out (module docstring)."""
+        if self.exact:
+            return tuple((1,) * self._rank(p) for p in range(self.k + 1))
+        return (self._f0_diagonal,) + tuple(
+            self._smith_diagonal(_first_map(self.boundary(p + 1), self.boundary(p)), p)
             for p in range(1, self.k + 1))
+
+    def _smith_diagonal(self, first: IntMatrix, p: int) -> tuple:
+        """The Smith diagonal of F_p = ``first``: over Z when g = 0, else
+        modulo g with the rank of the module docstring."""
+        if not self.annihilator:
+            return smith_diagonal(first)
+        return annihilated_smith_diagonal(first, self._rank(p), self.annihilator)
 
     def _rank(self, p: int) -> int:
         """rank F_p = t C(k, p) + (n - t) C(k-1, p), when g != 0 or the
@@ -199,17 +205,14 @@ class GradedChainComplex:
 
     def diagonal(self, p: int) -> tuple:
         """The Smith diagonal of the map leaving C_p, () for the end maps;
-        for a free complex it is F_{p-1}'s when g != 0 or p = 1, all 1s up to
-        the rank when the complex is exact (module docstring)."""
+        for a free complex d_p is F_{p-1}, whose diagonal the cells read."""
         if not 1 <= p <= self.k:
             return ()
-        if self.is_free and self.exact:
-            return annihilated_smith_diagonal(self.boundaries[p - 1].matrix, self._rank(p - 1), 1)
-        if self.is_free and p == 1:  # d_1 is F_0
-            return self._f0_diagonal
-        if self.is_free and self.annihilator:
-            return self._first_diagonals[p - 1]
-        return self.boundaries[p - 1].smith_diagonal
+        if self.is_free:
+            diag = self._first_diagonals[p - 1]
+            size = self.aj.ambient_rank * min(comb(self.k, p - 1), comb(self.k, p))
+            return diag + (0,) * (size - len(diag))
+        return smith_diagonal(self.boundaries[p - 1].matrix)
 
     def boundary(self, p: int) -> GroupHom:
         """The map leaving C_p, extended by zero maps at both ends."""

@@ -5,7 +5,8 @@ The E2 page is the homology of the degree-graded chain complexes; it is
 and vanishes outside columns 0..k.  Each complex carries its annihilator
 g = gcd_c |det rho^c| and reads its own cells by it, H_0 first: g = 1 makes
 every cell 0 without a Smith form, an H_0 of 0 makes every cell 0 (Nakayama),
-and otherwise g >= 2 reads each cell modulo g (``koszul``).
+and otherwise each cell is read off the Smith diagonals of the complex's
+augmented first maps, modulo g when g >= 2 and over Z when g = 0 (``koszul``).
 Differentials d^r for 2 <= r <= k are not determined by the data in scope,
 so this module never guesses one: it reports every position where a nonzero
 d^r is degree-possible, and for each affected diagonal emits both the
@@ -94,10 +95,10 @@ def compute_e2(spec: KGraphSpec) -> E2Page:
     Real degrees 3, 5 and 7 always do; so do real 0, 4 and complex 0 when no
     vertex is paired, and real 2 and 6 when none is fixed.
 
-    Each complex reads its cells by the annihilator rule of ``koszul``: 0
-    for g = 1; otherwise H_0 first, modulo g for g >= 2 and through
-    ``homology`` for g = 0, and every other cell is 0 when H_0 is and is
-    read the same way when it is not.
+    Each complex reads its cells by the one rule of ``koszul``: 0 for
+    g = 1; otherwise H_0 first, and every other cell is 0 when H_0 is and
+    is read off the same Smith diagonals, modulo g for g >= 2 and over Z
+    for g = 0, when it is not.
     """
     partition = validate(spec)
     graded = build_graded_group(partition)

@@ -307,6 +307,12 @@ def test_relations_are_one_column_per_nonzero_modulus():
     assert g.canonical == ((6,), 2)
 
 
+def test_a_group_with_no_generator_is_the_shared_zero_group():
+    assert FgAbGroup.from_invariants([]) is trivial_group()
+    assert FgAbGroup.from_invariants([], 0) is trivial_group()
+    assert FgAbGroup.from_invariants([1]).moduli == (1,)
+
+
 def test_same_presentation_compares_moduli_in_order():
     a, b = FgAbGroup((2, 3)), FgAbGroup((3, 2))
     assert a == b and not same_presentation(a, b)

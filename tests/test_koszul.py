@@ -459,17 +459,29 @@ def test_an_exact_free_complex_prints_unit_diagonals_with_no_smith_loop(monkeypa
     assert kinds == {0, 1, 2}
 
 
-def test_an_exact_g_0_complex_reads_h0_from_f0_alone(monkeypatch):
-    # g = 0 reads H_0 = coker F_0 from F_0's Smith diagonal over Z: the six
-    # exact g = 0 complexes of the scan lay out no boundary and call no
-    # homology; every other g = 0 complex calls it for p = 1..k alone
-    calls, general = [], homology
+def test_a_g_0_complex_takes_one_smith_diagonal_per_first_map(monkeypatch):
+    # g = 0 reads every cell off the Smith diagonals of F_0 .. F_k over Z,
+    # with no homology call: the six exact g = 0 complexes of the scan read
+    # F_0 alone and lay out no boundary; every other takes k + 1 diagonals,
+    # one per F_p, F_0 laid out from the rho rows, and a free one forms no
+    # composite, as F_p is d_{p+1}, whose diagonal --emit-intermediate prints
+    taken, general = [], smith_diagonal
+    composites, compose = [], abelian._composite
 
-    def counting(d_in, d_out):
-        calls.append(d_in)
-        return general(d_in, d_out)
+    def counting(m):
+        taken.append(m)
+        return general(m)
 
-    monkeypatch.setattr(koszul, "homology", counting)
+    def composing(d_in, d_out):
+        composites.append(d_in)
+        return compose(d_in, d_out)
+
+    def refuse(*args):
+        raise AssertionError("a cell was read through homology")
+
+    monkeypatch.setattr(koszul, "smith_diagonal", counting)
+    monkeypatch.setattr(abelian, "_composite", composing)
+    monkeypatch.setattr(abelian, "_diagonal_homology", refuse)
     exact, kinds = 0, set()
     for spec in source_specs("scan"):
         done = set()
@@ -477,14 +489,20 @@ def test_an_exact_g_0_complex_reads_h0_from_f0_alone(monkeypatch):
             if cx.annihilator or id(cx) in done:
                 continue
             done.add(id(cx))
-            fresh, calls[:] = dataclasses.replace(cx), []
+            fresh, taken[:], composites[:] = dataclasses.replace(cx), [], []
             fresh.cells
             if fresh.exact:
                 exact += 1
-                assert calls == [] and "boundaries" not in vars(cx), key
-                assert "boundaries" not in vars(fresh), key
-            else:
-                assert len(calls) == fresh.k and fresh.boundary(1) not in calls, key
+                assert taken == [fresh._f0()], key
+                assert "boundaries" not in vars(cx) and "boundaries" not in vars(fresh), key
+                continue
+            if fresh.is_free:
+                assert composites == [], key
+                diagonals = [fresh.diagonal(p) for p in range(1, fresh.k + 1)]
+                assert diagonals == [general(b.matrix) for b in fresh.boundaries], key
+            first = [fresh._f0()] + [_first_map(fresh.boundary(p + 1), fresh.boundary(p))
+                                     for p in range(1, fresh.k + 1)]
+            assert taken == first, key
             kinds.add(fresh.is_free)
     assert exact == 6 and kinds == {True, False}
 
@@ -499,30 +517,5 @@ def test_h0_of_a_g_0_complex_is_the_general_homology_cell(source):
             homology(cx.boundary(1), cx.boundary(0)).group, key
         if not cx.exact:  # the lift's lattice agrees with the group read off F_0
             assert cells[0].lift.cols == cells[0].group.generator_count(), key
-            read += 1
-    assert read
-
-
-def test_a_free_g_0_complex_takes_the_smith_diagonal_of_f0_once(monkeypatch):
-    # H_0 reads F_0's diagonal over Z; on a free complex d_1 is F_0, and
-    # H_1 reads that same diagonal rather than taking it again
-    taken, general = [], abelian.smith_diagonal
-
-    def counting(m):
-        taken.append(m)
-        return general(m)
-
-    monkeypatch.setattr(abelian, "smith_diagonal", counting)
-    monkeypatch.setattr(koszul, "smith_diagonal", counting)
-    read = 0
-    for spec in source_specs("scan"):
-        for key, cx in compute_e2(spec).complexes.items():
-            if cx.annihilator or not cx.is_free or cx.exact:
-                continue
-            fresh, taken[:] = dataclasses.replace(cx), []
-            fresh.cells
-            f0 = fresh.boundary(1).matrix
-            assert sum(1 for m in taken if m == f0) == 1, key
-            assert fresh.boundary(1).smith_diagonal == general(f0), key
             read += 1
     assert read
