@@ -459,14 +459,12 @@ def test_an_exact_free_complex_prints_unit_diagonals_with_no_smith_loop(monkeypa
     assert kinds == {0, 1, 2}
 
 
-def test_a_g_0_complex_takes_one_smith_diagonal_per_first_map(monkeypatch):
-    # g = 0 reads every cell off the Smith diagonals of F_0 .. F_k over Z,
-    # with no homology call: the six exact g = 0 complexes of the scan read
-    # F_0 alone and lay out no boundary; every other takes k + 1 diagonals,
-    # one per F_p, F_0 laid out from the rho rows, and a free one forms no
-    # composite, as F_p is d_{p+1}, whose diagonal --emit-intermediate prints
-    taken, general = [], smith_diagonal
-    composites, compose = [], abelian._composite
+def read_g_0_complexes(monkeypatch):
+    # yields each distinct g = 0 complex of the scan, read afresh with no
+    # homology call allowed, with the smith_diagonal arguments and the
+    # composites that reading it took
+    taken, composites = [], []
+    general, compose = smith_diagonal, abelian._composite
 
     def counting(m):
         taken.append(m)
@@ -482,7 +480,6 @@ def test_a_g_0_complex_takes_one_smith_diagonal_per_first_map(monkeypatch):
     monkeypatch.setattr(koszul, "smith_diagonal", counting)
     monkeypatch.setattr(abelian, "_composite", composing)
     monkeypatch.setattr(abelian, "_diagonal_homology", refuse)
-    exact, kinds = 0, set()
     for spec in source_specs("scan"):
         done = set()
         for key, cx in compute_e2(spec).complexes.items():
@@ -491,20 +488,40 @@ def test_a_g_0_complex_takes_one_smith_diagonal_per_first_map(monkeypatch):
             done.add(id(cx))
             fresh, taken[:], composites[:] = dataclasses.replace(cx), [], []
             fresh.cells
-            if fresh.exact:
-                exact += 1
-                assert taken == [fresh._f0()], key
-                assert "boundaries" not in vars(cx) and "boundaries" not in vars(fresh), key
-                continue
-            if fresh.is_free:
-                assert composites == [], key
-                diagonals = [fresh.diagonal(p) for p in range(1, fresh.k + 1)]
-                assert diagonals == [general(b.matrix) for b in fresh.boundaries], key
-            first = [fresh._f0()] + [_first_map(fresh.boundary(p + 1), fresh.boundary(p))
-                                     for p in range(1, fresh.k + 1)]
-            assert taken == first, key
-            kinds.add(fresh.is_free)
-    assert exact == 6 and kinds == {True, False}
+            yield key, cx, fresh, list(taken), list(composites)
+
+
+def test_an_exact_g_0_complex_reads_h0_from_f0_alone(monkeypatch):
+    # g = 0 reads every cell off the Smith diagonals of F_0 .. F_k over Z,
+    # with no homology call: the six exact g = 0 complexes of the scan read
+    # F_0 alone, laid out from the rho rows, and lay out no boundary
+    exact = 0
+    for key, cx, fresh, taken, _ in read_g_0_complexes(monkeypatch):
+        if fresh.exact:
+            exact += 1
+            assert taken == [fresh._f0()], key
+            assert "boundaries" not in vars(cx) and "boundaries" not in vars(fresh), key
+    assert exact == 6
+
+
+def test_a_free_g_0_complex_takes_the_smith_diagonal_of_f0_once(monkeypatch):
+    # a g = 0 complex that is not exact takes k + 1 diagonals, one per F_p,
+    # F_0's once; a free one forms no composite, as F_p is d_{p+1}, whose
+    # diagonal --emit-intermediate prints
+    kinds = set()
+    for key, _, fresh, taken, composites in read_g_0_complexes(monkeypatch):
+        if fresh.exact:
+            continue
+        if fresh.is_free:
+            assert composites == [], key
+            diagonals = [fresh.diagonal(p) for p in range(1, fresh.k + 1)]
+            assert diagonals == [smith_diagonal(b.matrix) for b in fresh.boundaries], key
+        first = [fresh._f0()] + [_first_map(fresh.boundary(p + 1), fresh.boundary(p))
+                                 for p in range(1, fresh.k + 1)]
+        assert taken == first, key
+        assert sum(1 for m in taken if m == fresh._f0()) == 1, key
+        kinds.add(fresh.is_free)
+    assert kinds == {True, False}
 
 
 @pytest.mark.parametrize("source", ["scan", "families"])
