@@ -32,8 +32,9 @@ ever touches floating point, so results are exact at any size.  The pieces:
   modules with the same homology, whose first map is ``_first_map``; a
   cell's kernel lattice and lifts are built only when asked for.
 * ``extension_candidates`` -- the isomorphism classes of finite abelian groups
-  admitting a given subgroup with a given quotient, read prime by prime by the
-  Hall / Littlewood-Richardson criterion.
+  with given filtration factors, and ``injection_cokernels`` -- the cokernels
+  of injections, both read prime by prime by the Hall / Littlewood-Richardson
+  criterion.
 """
 
 from __future__ import annotations
@@ -941,21 +942,13 @@ def _factorint(n):
     return out
 
 
-def _partitions(n):
-    """Partitions of n as non-increasing tuples."""
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples, parts at most ``largest``."""
     if n == 0:
         yield ()
-        return
-
-    def rec(remaining, largest):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
 def _groups_of_types(types):
@@ -966,13 +959,6 @@ def _groups_of_types(types):
               for combo in _cartesian(*per_prime)]
     groups.sort(key=lambda g: g.invariant_factors)
     return groups
-
-
-def abelian_groups_of_order(n: int):
-    """All isomorphism classes of abelian groups of order n, deterministically."""
-    if n <= 0:
-        raise ValueError("order must be positive")
-    return _groups_of_types((p, _partitions(e)) for p, e in sorted(_factorint(n).items()))
 
 
 def _prime_type(g: FgAbGroup, p: int):
@@ -1027,21 +1013,51 @@ def _lr_shapes(mu, nu):
     return sorted({tuple(x for x in shape if x) for shape, _ in states})
 
 
-def extension_candidates(sub: FgAbGroup, quot: FgAbGroup,
-                         order_bound: int = DEFAULT_EXTENSION_BOUND):
-    """Isomorphism classes of finite abelian G with sub <= G and G/sub == quot,
-    sorted by invariant factors.
+def extension_candidates(*factors, order_bound: int = DEFAULT_EXTENSION_BOUND):
+    """Isomorphism classes of finite abelian G with subgroups
+    0 = G_0 <= ... <= G_n = G and G_i / G_{i-1} == factors[i-1], sorted by
+    invariant factors.
 
     G is the product of its p-parts.  By Hall's theorem (Macdonald, *Symmetric
     Functions and Hall Polynomials*, ch. II) a finite abelian p-group of type
     lam has a subgroup of type mu with quotient of type nu exactly when the
-    Littlewood-Richardson coefficient c^lam_{mu nu} is nonzero, so the p-parts
-    are the lam of ``_lr_shapes``.  The direct sum sub + quot always appears.
+    Littlewood-Richardson coefficient c^lam_{mu nu} is nonzero, so each prime
+    folds its types through ``_lr_shapes``.  Factors are checked in order:
+    finite, then the running order by the bound.
     """
-    if not sub.is_finite or not quot.is_finite:
-        raise InfiniteInput("extension enumeration needs finite groups")
-    total = sub.order() * quot.order()
-    if total > order_bound:
-        raise BoundExceeded(f"order {total} exceeds bound {order_bound}")
-    return _groups_of_types((p, _lr_shapes(_prime_type(sub, p), _prime_type(quot, p)))
-                            for p in sorted(_factorint(total)))
+    total = 1
+    for g in factors:
+        if not g.is_finite:
+            raise InfiniteInput("extension enumeration needs finite groups")
+        total *= g.order()
+        if total > order_bound:
+            raise BoundExceeded(f"order {total} exceeds bound {order_bound}")
+    types = []
+    for p in sorted(_factorint(total)):
+        shapes = {()}
+        for g in factors:
+            nu = _prime_type(g, p)
+            shapes = {lam for mu in shapes for lam in _lr_shapes(mu, nu)}
+        types.append((p, shapes))
+    return _groups_of_types(types)
+
+
+def injection_cokernels(sub, group, order_bound=DEFAULT_EXTENSION_BOUND):
+    """The cokernels of the injections sub -> group up to isomorphism, sorted
+    by invariant factors; none when sub is 0.  By Hall's criterion the p-part
+    of one is each nu |- |lam| - |mu| with c^lam_{mu nu} != 0, for group and
+    sub of p-types lam and mu.  Every check comes before any LR work.
+    """
+    if not sub.is_finite or not group.is_finite:
+        raise InfiniteInput("differential variant enumeration needs finite cells")
+    order = group.order()
+    if sub.is_trivial or order % sub.order():
+        return []
+    if order > order_bound:
+        raise BoundExceeded(f"order {order} exceeds bound {order_bound}")
+    types = []
+    for p in sorted(_factorint(order)):
+        mu, lam = _prime_type(sub, p), _prime_type(group, p)
+        types.append((p, [nu for nu in _partitions(sum(lam) - sum(mu))
+                          if lam in _lr_shapes(mu, nu)]))
+    return _groups_of_types(types)

@@ -23,9 +23,10 @@ a 24-term periodic exact sequence
 
 which the solver enumerates at the level of Z_2-ranks by one depth-first
 search over the c/r splits at the eight MU terms: each split fixes an eta
-rank and an MO rank by exactness, so every loop is bounded by the MU ranks
-and the MO rank bound only filters.  A search that the bound alone left
-without a table raises BoundExceeded; NoSolution means no bound helps.
+rank and an MO rank by exactness, so every loop is bounded by the MU ranks.
+The search runs once, and the MO rank bound only filters its tables: when
+it cuts every one, BoundExceeded names the least bound that admits one;
+NoSolution means no bound helps.
 
 ``run_pipeline`` is the one pass over a k-graph: validation and the E2 page
 (``compute_e2``), the differential report, both diagonal assemblies, KU with
@@ -45,12 +46,11 @@ from .abelian import (
     FgAbGroup,
     GroupHom,
     HomologyResult,
-    InfiniteInput,
     IntMatrix,
-    abelian_groups_of_order,
     extension_candidates,
     homology,
     induced_hom,
+    injection_cokernels,
     trivial_group,
 )
 from .crmodule import COMPLEX_PERIOD, REAL_PERIOD, build_graded_group, build_rho, psi_on_A
@@ -190,47 +190,14 @@ class DiagonalAssembly:
     variants: tuple | None  # for d2_ambiguous
 
 
-def _fold_extensions(groups, ext_bound):
-    """Candidate total groups of a filtration with the given ordered factors."""
-    acc = [trivial_group()]
-    for quot in groups:
-        nxt = []
-        for sub in acc:
-            for g in extension_candidates(sub, quot, ext_bound):
-                if g not in nxt:
-                    nxt.append(g)
-        acc = nxt
-    return tuple(sorted(acc, key=lambda g: (g.order() or 0, g.invariant_factors)))
-
-
 def _total_groups(factors, ext_bound):
     """("determined", (G,)) when at most one factor (p, j, G) is nonzero (G = 0
     when none is), else ("extension_ambiguous", every group they fold to)."""
     nonzero = [g for _, _, g in factors if not g.is_trivial]
     if len(nonzero) <= 1:
         return "determined", (nonzero[0] if nonzero else trivial_group(),)
-    return "extension_ambiguous", _fold_extensions([g for _, _, g in factors], ext_bound)
-
-
-def _injective_variants(source: FgAbGroup, target: FgAbGroup,
-                        ext_bound: int = DEFAULT_EXTENSION_BOUND):
-    """Cokernel classes of injective maps source -> target (finite cells),
-    sorted by invariant factors.
-
-    An injection with cokernel nu exists exactly when target is an extension
-    of source by nu.  Used only to spell out the possible d2 != 0 outcomes,
-    never to pick one; a zero source gives none.  A target of order above
-    ``ext_bound`` raises BoundExceeded before any group is listed.
-    """
-    if source.free_rank or target.free_rank:
-        raise InfiniteInput("differential variant enumeration needs finite cells")
-    order = target.order()
-    if source.is_trivial or order % source.order():
-        return []
-    if order > ext_bound:
-        raise BoundExceeded(f"order {order} exceeds bound {ext_bound}")
-    return [nu for nu in abelian_groups_of_order(order // source.order())
-            if target in extension_candidates(source, nu, ext_bound)]
+    return "extension_ambiguous", tuple(extension_candidates(
+        *(g for _, _, g in factors), order_bound=ext_bound))
 
 
 def assemble_diagonals(page: E2Page, report: DifferentialReport,
@@ -253,7 +220,7 @@ def assemble_diagonals(page: E2Page, report: DifferentialReport,
         for entry in touching:
             d = f"d{entry.r}"
             options = [(f"{d}=0", entry, None)]
-            injs = _injective_variants(entry.source_group, entry.target_group, ext_bound)
+            injs = injection_cokernels(entry.source_group, entry.target_group, ext_bound)
             for idx, coker in enumerate(injs):
                 label = f"{d}!=0" if len(injs) == 1 else f"{d}!=0 ({idx + 1})"
                 options.append((label, entry, coker))
@@ -418,19 +385,18 @@ def enumerate_core_solutions(mu_groups, constraints: CoreConstraints | None = No
     consecutive eta' arrows compose to zero, eta_{m-1} + eta_m <= MO_m, that
     is eta_m <= c_{m-1}.  The search picks c_7, c_0, c_1 and eta_0 <= c_7;
     then at MO_m each choice of c_{m+2} fixes eta_m and MO_m, and a branch
-    survives only while 0 <= eta_m <= c_{m-1} and MO_m meets the rank bound
-    and the constraints; a table is kept when MO_0 = eta_7 + c_7 closes the
-    sequence.  Every loop runs over the MU ranks, so the rank bound only
-    filters.  Returns the solutions sorted lexicographically, each rank's
-    group Z_2^r one object shared by every table.
+    survives only while 0 <= eta_m <= c_{m-1} and MO_m meets the
+    constraints; a table is found when MO_0 = eta_7 + c_7 closes the
+    sequence.  The tables whose ranks are all within ``rank_bound`` are
+    returned, sorted lexicographically, each rank's group Z_2^r one object
+    shared by every table.
 
-    Every table has MO_m <= mu_{m-1} + mu_{m+2}, since
-    MO_m = (mu_{m+2} - c_{m+2}) + eta_m and eta_m <= c_{m-1} <= mu_{m-1};
-    so a rank bound of max_m (mu_{m-1} + mu_{m+2}) cuts nothing.  When the
-    search finds no table after the rank bound alone cut a branch, it is
-    rerun under that bound: if it then finds tables, BoundExceeded names
-    the least bound that admits one.  NoSolution means the constraints are
-    inconsistent at any bound.
+    The search runs once, with no rank bound: every loop runs over the MU
+    ranks, and every table has MO_m <= mu_{m-1} + mu_{m+2}, since
+    MO_m = (mu_{m+2} - c_{m+2}) + eta_m and eta_m <= c_{m-1} <= mu_{m-1},
+    so it is finite.  When it finds tables but the bound cuts all of them,
+    BoundExceeded names the least bound that admits one; NoSolution means
+    the constraints are inconsistent at any bound.
     """
     if constraints is None:
         constraints = CoreConstraints()
@@ -439,36 +405,26 @@ def enumerate_core_solutions(mu_groups, constraints: CoreConstraints | None = No
     for q, rank in known.items():
         if rank > rank_bound:
             raise BoundExceeded(f"known MO_{q} rank {rank} exceeds bound {rank_bound}")
-    found, truncated = _core_tables(mu, constraints, rank_bound)
-    if not found and truncated:
-        wider, _ = _core_tables(mu, constraints,
-                                max(mu[m - 1] + mu[(m + 2) % 8] for m in range(8)))
-        if wider:
-            raise BoundExceeded(f"no MO table has every rank within the core bound "
-                                f"{rank_bound}; the least bound that admits one is "
-                                f"{min(max(vec) for vec in wider)}")
+    found = _core_tables(mu, constraints)
     if not found:
         raise NoSolution("no MO table satisfies the core constraints")
-    groups = {r: FgAbGroup.from_invariants([2] * r) for r in {r for vec in found for r in vec}}
-    return [tuple(groups[r] for r in vec) for vec in sorted(found)]
+    kept = sorted(vec for vec in found if max(vec) <= rank_bound)
+    if not kept:
+        raise BoundExceeded(f"no MO table has every rank within the core bound "
+                            f"{rank_bound}; the least bound that admits one is "
+                            f"{min(max(vec) for vec in found)}")
+    groups = {r: FgAbGroup.from_invariants([2] * r) for r in {r for vec in kept for r in vec}}
+    return [tuple(groups[r] for r in vec) for vec in kept]
 
 
-def _core_tables(mu, constraints, rank_bound):
-    """The search of ``enumerate_core_solutions``: the rank vectors it finds,
-    and whether the rank bound alone cut a branch."""
+def _core_tables(mu, constraints):
+    """The search of ``enumerate_core_solutions``: the set of MO rank vectors
+    that meet the constraints."""
     known, caps, inf = constraints.known_mo, constraints.mo_bounds, float("inf")
     lo = [known.get(q, 0) for q in range(8)]
     hi = [min(caps.get(q, inf), known.get(q, inf)) for q in range(8)]
     c = [0] * 8
     found = set()
-    truncated = False
-
-    def admits(m, rank):
-        nonlocal truncated
-        if not lo[m] <= rank <= hi[m]:
-            return False
-        truncated |= rank > rank_bound
-        return rank <= rank_bound
 
     def descend(m, eta, mo):
         """MO_0..MO_{m-1} are ``mo``, eta_{m-1} is ``eta``, c_7 and c_0..c_{m+1} are set."""
@@ -477,7 +433,7 @@ def _core_tables(mu, constraints, rank_bound):
             if rank == mo[0]:
                 found.add(mo)
             return
-        if not admits(m, rank):
+        if not lo[m] <= rank <= hi[m]:
             return
         j = (m + 2) % 8
         for c[j] in range(mu[j] + 1) if m < 5 else (c[j],):
@@ -488,9 +444,9 @@ def _core_tables(mu, constraints, rank_bound):
     for c[7], c[0], c[1], c[2] in _cartesian(*(range(mu[q] + 1) for q in (7, 0, 1, 2))):
         for eta in range(c[7] + 1):
             rank = mu[2] - c[2] + eta
-            if admits(0, rank):
+            if lo[0] <= rank <= hi[0]:
                 descend(1, eta, (rank,))
-    return found, truncated
+    return found
 
 
 def derive_core_constraints(assemblies) -> CoreConstraints:

@@ -3,7 +3,8 @@
 The homology and core oracles deliberately avoid the library's Smith-form
 machinery: homology is recomputed by enumerating group elements, and core
 tables are re-verified by direct rank propagation around the exact cycles.
-Brute-force enumerators (every homomorphism for extensions and d2 variants,
+Brute-force enumerators (every group of an order, tested by every
+homomorphism for extensions, folded factor by factor, and for d2 variants;
 the full sweep of one core cycle) are the oracles for the library's
 combinatorial answers to the same questions.  The rank-one building-block
 tables with their relation checker, and the square-zero check of a chain
@@ -38,7 +39,6 @@ from kktheory.abelian import (
     GroupHom,
     IntMatrix,
     SnfDecomposition,
-    abelian_groups_of_order,
     free_group,
     same_presentation,
     smith_diagonal,
@@ -658,10 +658,45 @@ def admits_extension(g: FgAbGroup, sub: FgAbGroup, quot: FgAbGroup) -> bool:
     return any(coker == quot for _, coker in _cokernels(sub, g))
 
 
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def abelian_groups_of_order(n: int):
+    """All isomorphism classes of abelian groups of order n, one partition of
+    each prime's exponent per group, sorted by invariant factors."""
+    if n <= 0:
+        raise ValueError("order must be positive")
+    per_prime = [[[p ** e for e in lam] for lam in _partitions(k)]
+                 for p, k in sorted(_prime_factors(n).items())]
+    return sorted((FgAbGroup.from_invariants([d for part in combo for d in part])
+                   for combo in cartesian(*per_prime)),
+                  key=lambda g: g.invariant_factors)
+
+
 def extension_candidates_by_homs(sub: FgAbGroup, quot: FgAbGroup):
     """Every abelian group of order |sub| |quot| that passes ``admits_extension``."""
     return [g for g in abelian_groups_of_order(sub.order() * quot.order())
             if admits_extension(g, sub, quot)]
+
+
+def fold_extensions(factors, extensions=extension_candidates_by_homs):
+    """The groups with a filtration by ``factors``, subgroup end first: the
+    group-level fold of a two-factor enumerator, ``extension_candidates_by_homs``
+    by default, one factor at a time, sorted by invariant factors."""
+    acc = [trivial_group()]
+    for quot in factors:
+        nxt = []
+        for sub in acc:
+            for g in extensions(sub, quot):
+                if g not in nxt:
+                    nxt.append(g)
+        acc = nxt
+    return sorted(acc, key=lambda g: g.invariant_factors)
 
 
 def injective_variants_by_homs(source: FgAbGroup, target: FgAbGroup):

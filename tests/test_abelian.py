@@ -13,7 +13,6 @@ from kktheory.abelian import (
     IntMatrix,
     NotChainMap,
     NotWellDefined,
-    abelian_groups_of_order,
     extension_candidates,
     free_group,
     homology,
@@ -40,6 +39,7 @@ from kktheory.koszul import build_complex
 from kktheory.spectral import compute_e2
 
 from helpers import (
+    abelian_groups_of_order,
     column_span_basis,
     compose,
     cyclic_group,
@@ -48,6 +48,7 @@ from helpers import (
     direct_sum,
     eager_rank_and_minor,
     extension_candidates_by_homs,
+    fold_extensions,
     from_rows,
     group_from_presentation,
     group_of,
@@ -666,3 +667,51 @@ def test_extension_candidates_match_the_hom_enumeration_oracle():
     for sub, quot in pairs:
         assert extension_candidates(sub, quot) == extension_candidates_by_homs(sub, quot), \
             (sub, quot)
+
+
+def test_a_fold_of_three_factors_matches_the_pairwise_hom_fold():
+    """One pass of ``extension_candidates`` over every list of three factors
+    with product order <= 32 (528 lists, about 10 s), against the
+    group-level fold of the hom oracle, one factor at a time."""
+    groups = {n: abelian_groups_of_order(n) for n in range(1, 33)}
+    lists = [(x, y, z) for a in range(1, 33) for b in range(1, 32 // a + 1)
+             for c in range(1, 32 // (a * b) + 1)
+             for x in groups[a] for y in groups[b] for z in groups[c]]
+    assert len(lists) == 528
+    pairs = {}
+
+    def by_homs(sub, quot):
+        # an extension by 0 is the subgroup itself; the hom oracle would list
+        # all 2^25 endomorphisms of Z_2^5 to say so
+        if quot.is_trivial:
+            return [sub]
+        key = (sub.invariant_factors, quot.invariant_factors)
+        if key not in pairs:
+            pairs[key] = extension_candidates_by_homs(sub, quot)
+        return pairs[key]
+
+    for factors in lists:
+        assert extension_candidates(*factors) == fold_extensions(factors, by_homs), factors
+
+
+def test_a_fold_raises_at_the_first_factor_that_fails():
+    """Factors are checked in order, as in a fold of two-factor calls:
+    InfiniteInput for an infinite factor, and BoundExceeded, naming the
+    running order, as soon as that order passes the bound."""
+    z4, z64, z = cyclic_group(4), cyclic_group(64), free_group(1)
+
+    def outcome(call):
+        try:
+            return call()
+        except (BoundExceeded, InfiniteInput) as exc:
+            return type(exc), str(exc)
+
+    def pairwise(sub, quot):
+        return extension_candidates(sub, quot, order_bound=32)
+
+    for factors, expected in [
+            ((z4, z4, z4), (BoundExceeded, "order 64 exceeds bound 32")),
+            ((z64, z), (BoundExceeded, "order 64 exceeds bound 32")),
+            ((z, z64), (InfiniteInput, "extension enumeration needs finite groups"))]:
+        assert outcome(lambda: extension_candidates(*factors, order_bound=32)) == expected
+        assert outcome(lambda: fold_extensions(factors, pairwise)) == expected

@@ -316,6 +316,19 @@ def test_matrix_psi_sample_matches_its_golden_report():
     assert "psi_0 = [[1, 0, 0, 1], [1, 0, 1, 1], [3, 3, 0, 2], [24, 0, 32, 3]]" in out
 
 
+def test_cokernel_variant_sample_matches_its_golden_report():
+    # random_valid_spec(random.Random(11), 2, 5): d2: Z_2 -> Z_2 + Z_2 + Z_4
+    # has two numbered cokernel variants, KO_1 and KO_4 fold extensions over
+    # the primes 2, 5 and 19, psi is a 4 x 4 matrix and 34 MO tables remain
+    here = pathlib.Path(__file__).parent
+    code, out, err = run_cli(["compute", str(here.parent / "sample_inputs" / "random_k2_v5_s11.json")])
+    assert (code, err) == (0, "")
+    assert out == (here / "data" / "random_k2_v5_s11.txt").read_text(encoding="utf-8")
+    assert "    d2!=0 (2): candidates: Z_2 + Z_2 + Z_2 + Z_4 | Z_2 + Z_2 + Z_8" in out
+    assert "candidates: Z_2 + Z_4 + Z_4 + Z_380 | Z_4 + Z_4 + Z_760" in out
+    assert "solution 34:" in out and "solution 35:" not in out
+
+
 @pytest.mark.parametrize("k, nv, seed, keys", [
     (4, 6, 12, {("complex", 0)}),
     (8, 6, 0, {("real", 0), ("real", 2), ("real", 4), ("complex", 0)})])

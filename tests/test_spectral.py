@@ -10,11 +10,12 @@ from kktheory.abelian import (
     BoundExceeded,
     FgAbGroup,
     GroupHom,
+    InfiniteInput,
     IntMatrix,
-    abelian_groups_of_order,
     free_group,
     homology,
     induced_hom,
+    injection_cokernels,
     trivial_group,
     zero_hom,
 )
@@ -25,7 +26,6 @@ from kktheory.spectral import (
     DifferentialEntry,
     DifferentialReport,
     NoSolution,
-    _injective_variants,
     assemble_diagonals,
     compute_e2,
     compute_ku_with_psi,
@@ -37,6 +37,7 @@ from kktheory.spectral import (
 )
 
 from helpers import (
+    abelian_groups_of_order,
     asymmetric_three_vertex_spec,
     core_table_consistent,
     cyclic_group,
@@ -598,32 +599,41 @@ def test_pipeline_skips_the_core_when_ku_ambiguous():
 # ---------------------------------------------------------------------------
 
 def test_injective_variants_match_the_hom_enumeration_oracle():
-    """Set and order, on every pair of groups of order <= 16."""
-    groups = [g for n in range(1, 17) for g in abelian_groups_of_order(n)]
-    multi = 0
-    for target in groups:
-        for source in groups:
-            found = _injective_variants(source, target)
-            assert found == injective_variants_by_homs(source, target), (source, target)
-            multi += len(found) > 1
-    assert multi == 5
+    """``injection_cokernels`` against every hom, on every pair of groups
+    A, B with |A|, |B| <= 16 or |A| |B| <= 64 (about 4 s): the same set,
+    sorted by invariant factors.  Hom order is that order except on
+    Z_2 -> Z_4 + Z_8."""
+    groups = {n: abelian_groups_of_order(n) for n in range(1, 65)}
+    pairs = [(source, target) for a in range(1, 65) for b in range(1, 65)
+             if max(a, b) <= 16 or a * b <= 64
+             for source in groups[a] for target in groups[b]]
+    multi = reordered = 0
+    for source, target in pairs:
+        found = injection_cokernels(source, target)
+        by_homs = injective_variants_by_homs(source, target)
+        assert found == sorted(by_homs, key=lambda g: g.invariant_factors), (source, target)
+        multi += len(found) > 1
+        reordered += found != by_homs
+    assert (len(pairs), multi, reordered) == (883, 11, 1)
 
 
 def test_injective_variants_refuse_a_target_above_the_bound(monkeypatch):
-    # the bound is checked before any cokernel candidate is listed
-    from kktheory import spectral
+    # the checks run in order, infinite cell, then no injection, then the
+    # bound, all before any Littlewood-Richardson shape is read
     z2z4 = FgAbGroup.from_invariants([2, 4])
-    assert _injective_variants(Z2, z2z4, 8) == [FgAbGroup.from_invariants([2, 2]), cyclic_group(4)]
+    assert injection_cokernels(Z2, z2z4, 8) == [FgAbGroup.from_invariants([2, 2]), cyclic_group(4)]
 
-    def refuse(n):
-        raise AssertionError("groups were listed")
+    def refuse(mu, nu):
+        raise AssertionError("LR shapes were read")
 
-    monkeypatch.setattr(spectral, "abelian_groups_of_order", refuse)
+    monkeypatch.setattr(abelian, "_lr_shapes", refuse)
     with pytest.raises(BoundExceeded, match=r"^order 8 exceeds bound 7$"):
-        _injective_variants(Z2, z2z4, 7)
+        injection_cokernels(Z2, z2z4, 7)
     with pytest.raises(BoundExceeded, match=r"^order 131072 exceeds bound 65536$"):
-        _injective_variants(Z2, FgAbGroup.from_invariants([2] * 17))
-    assert _injective_variants(Z2, cyclic_group(3), 1) == []
+        injection_cokernels(Z2, FgAbGroup.from_invariants([2] * 17))
+    assert injection_cokernels(Z2, cyclic_group(3), 1) == []
+    with pytest.raises(InfiniteInput):
+        injection_cokernels(free_group(1), cyclic_group(3), 1)
 
 
 class _FactorPage:
@@ -651,7 +661,7 @@ def test_variant_labels_name_the_differential_page():
 def test_injective_variant_labels_follow_sorted_cokernels():
     z2z4 = FgAbGroup.from_invariants([2, 4])
     z2z2 = FgAbGroup.from_invariants([2, 2])
-    assert _injective_variants(Z2, z2z4) == [z2z2, cyclic_group(4)]
+    assert injection_cokernels(Z2, z2z4) == [z2z2, cyclic_group(4)]
     page = _FactorPage(2, {(2, 1): Z2, (0, 2): z2z4})
     entry = DifferentialEntry(r=2, source=(2, 1), target=(0, 2), part="real",
                               source_group=Z2, target_group=z2z4)
@@ -752,6 +762,17 @@ def test_core_search_tells_a_truncated_search_from_no_solution():
             with pytest.raises(NoSolution):
                 enumerate_core_solutions(groups, cons, bound)
     assert outcomes == {"solved", "bound", "none"}
+
+
+def test_a_bound_that_cuts_every_table_runs_the_core_search_once(monkeypatch):
+    # MU_q = Z_2 for every q: each table has some MO of rank 1, so bound 0
+    # cuts all of them, and the one search names the least bound
+    calls = []
+    search = spectral._core_tables
+    monkeypatch.setattr(spectral, "_core_tables", lambda *args: calls.append(args) or search(*args))
+    with pytest.raises(BoundExceeded, match="least bound that admits one is 1$"):
+        enumerate_core_solutions([Z2] * 8, CoreConstraints(), rank_bound=0)
+    assert len(calls) == 1
 
 
 def test_core_rank_bound_only_filters():
