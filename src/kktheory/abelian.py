@@ -40,7 +40,6 @@ ever touches floating point, so results are exact at any size.  The pieces:
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as _cartesian
 from math import gcd, prod
@@ -212,8 +211,7 @@ class IntMatrix:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(NamedTuple):
     """u @ m @ v == d; u, v unimodular; d diagonal, nonnegative, d_i | d_{i+1}.
 
     ``diagonal`` holds the min(rows, cols) diagonal entries of d and ``shape``
@@ -565,7 +563,6 @@ def _divisibility_chain(values):
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class FgAbGroup:
     """Z^n modulo one modulus per coordinate, plus its canonical form.
 
@@ -574,17 +571,19 @@ class FgAbGroup:
     least 2) and ``free_rank`` the number of Z summands, both computed once
     from the moduli.  Two groups compare equal when their canonical forms
     agree, i.e. when they are isomorphic; use ``same_presentation`` when
-    literal coordinates matter.
+    literal coordinates matter.  Immutable.
     """
 
-    moduli: tuple
-    invariant_factors: tuple = field(init=False)
-    free_rank: int = field(init=False)
+    __slots__ = ("moduli", "invariant_factors", "free_rank")
 
-    def __post_init__(self):
-        chain = _divisibility_chain([abs(m) for m in self.moduli if m])
+    def __init__(self, moduli: tuple):
+        chain = _divisibility_chain([abs(m) for m in moduli if m])
+        object.__setattr__(self, "moduli", moduli)
         object.__setattr__(self, "invariant_factors", tuple(d for d in chain if d != 1))
-        object.__setattr__(self, "free_rank", self.moduli.count(0))
+        object.__setattr__(self, "free_rank", moduli.count(0))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FgAbGroup is immutable")
 
     @property
     def ambient_rank(self):
@@ -678,27 +677,30 @@ def _vanishes_in(g: FgAbGroup, rows) -> bool:
 # Homomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class GroupHom:
-    """Integer matrix source -> target, checked well-defined on cokernels."""
+    """Integer matrix source -> target, checked well-defined on cokernels.
+    Immutable."""
 
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: IntMatrix
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.target.ambient_rank, self.source.ambient_rank):
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
+        if matrix.shape != (target.ambient_rank, source.ambient_rank):
             raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"{self.target.ambient_rank}x{self.source.ambient_rank}")
-        scales = self.source.moduli
-        if not any(scales):  # a free source has no relation to map
-            return
-        # the source relation m_j e_j maps to m_j times column j
-        images = ([x * m for x, m in zip(row, scales) if m] for row in self.matrix.data)
-        if not _vanishes_in(self.target, images):
-            raise NotWellDefined(
-                "matrix does not map source relations into target relations")
+                f"matrix shape {matrix.shape} does not match "
+                f"{target.ambient_rank}x{source.ambient_rank}")
+        scales = source.moduli
+        if any(scales):  # a free source has no relation to map
+            # the source relation m_j e_j maps to m_j times column j
+            images = ([x * m for x, m in zip(row, scales) if m] for row in matrix.data)
+            if not _vanishes_in(target, images):
+                raise NotWellDefined(
+                    "matrix does not map source relations into target relations")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupHom is immutable")
 
     def __repr__(self):
         return f"GroupHom({self.source.describe()} -> {self.target.describe()})"
@@ -745,8 +747,7 @@ def kernel_lattice(h: GroupHom) -> KernelLattice:
 # Homology of two consecutive maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _LatticeData:
+class _LatticeData(NamedTuple):
     """Kernel lattice of a homology cell, the decomposition that solves
     against its basis, and its canonical change of basis."""
 
@@ -758,7 +759,6 @@ class _LatticeData:
     kept: tuple                # indices of canonical generators in z-coordinates
 
 
-@dataclass(frozen=True, eq=False)
 class HomologyResult:
     """ker(d_out)/im(d_in) in canonical form, with ambient generator lifts.
 
@@ -769,11 +769,16 @@ class HomologyResult:
     is read from Smith diagonals alone or known outright; ``maps()`` gives
     (d_in, d_out), read for the kernel lattice behind
     ``kernel_lattice_basis``, ``lift`` and ``express``, which is built on
-    first use and raises RuntimeError if its group disagrees.
+    first use and raises RuntimeError if its group disagrees.  Immutable,
+    but for the lattice cached in its ``__dict__``.
     """
 
-    group: FgAbGroup
-    maps: Callable[[], tuple]
+    def __init__(self, group: FgAbGroup, maps: Callable[[], tuple]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "maps", maps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HomologyResult is immutable")
 
     @property
     def middle(self) -> FgAbGroup:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .abelian import DEFAULT_EXTENSION_BOUND, BoundExceeded
@@ -48,20 +47,20 @@ class ParseError(Exception):
     pass
 
 
-@dataclass
 class JobConfig:
-    input_path: str
-    output_format: str = "text"
-    ext_bound: int = DEFAULT_EXTENSION_BOUND
-    core_bound: int = 8
-    emit_intermediate: bool = False
-    emit_lifts: bool = False
-
-    def __post_init__(self):
-        if self.output_format not in ("text", "json"):
-            raise ParseError(f"unknown output format {self.output_format!r}")
-        if self.ext_bound <= 0 or self.core_bound <= 0:
+    def __init__(self, input_path: str, output_format: str = "text",
+                 ext_bound: int = DEFAULT_EXTENSION_BOUND, core_bound: int = 8,
+                 emit_intermediate: bool = False, emit_lifts: bool = False):
+        if output_format not in ("text", "json"):
+            raise ParseError(f"unknown output format {output_format!r}")
+        if ext_bound <= 0 or core_bound <= 0:
             raise ParseError("bounds must be positive")
+        self.input_path = input_path
+        self.output_format = output_format
+        self.ext_bound = ext_bound
+        self.core_bound = core_bound
+        self.emit_intermediate = emit_intermediate
+        self.emit_lifts = emit_lifts
 
 
 def load_spec(path: str) -> KGraphSpec:
@@ -408,7 +407,8 @@ def main(argv=None) -> int:
     cmd.add_argument("input", help="path to the k-graph JSON description")
     cmd.add_argument("--format", choices=["text", "json"], default="text")
     cmd.add_argument("--ext-bound", type=int, default=DEFAULT_EXTENSION_BOUND,
-                     help="order bound for extension enumeration (default 65536)")
+                     help="order bound for extension enumeration and for the "
+                          "target of a d_r variant (default 65536)")
     cmd.add_argument("--core-bound", type=int, default=8,
                      help="Z_2-rank search bound for the core solver (default 8)")
     cmd.add_argument("--emit-intermediate", action="store_true",

@@ -15,7 +15,7 @@ test oracles in ``tests/helpers.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix, free_group, trivial_group
 from .kgraph import KGraphSpec, VertexPartition, validate
@@ -28,8 +28,7 @@ COMPLEX_PERIOD = 2
 # The graded module A and the endomorphisms rho
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradedGroupA:
+class GradedGroupA(NamedTuple):
     """Degreewise groups of A for a given partition.
 
     Real part (period 8), with nf fixed vertices and n1 two-orbits:
@@ -74,8 +73,7 @@ def build_graded_group(partition: VertexPartition) -> GradedGroupA:
 _ZERO_ENDO = GroupHom(trivial_group(), trivial_group(), IntMatrix.zeros(0, 0))
 
 
-@dataclass(frozen=True)
-class RhoMap:
+class RhoMap(NamedTuple):
     """A single color's graded endomorphism of A."""
 
     color: int

@@ -13,9 +13,9 @@ possibly, the differentials that are reported as ambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
+from typing import NamedTuple
 
 from .abelian import IntMatrix
 
@@ -57,8 +57,7 @@ class IncompatibleInvolution(KGraphError):
         super().__init__(f"IncompatibleInvolution({color})")
 
 
-@dataclass(frozen=True)
-class KGraphSpec:
+class KGraphSpec(NamedTuple):
     """k adjacency matrices on a common vertex set plus an involution.
 
     ``involution[v]`` is the (0-based) image of vertex v.  Colors are 1-based
@@ -83,8 +82,7 @@ class KGraphSpec:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class VertexPartition:
+class VertexPartition(NamedTuple):
     """Vertex indices split into fixed points and 2-orbits of the involution.
 
     ``paired`` holds the smaller index of each swapped pair, ``partners`` the

@@ -77,7 +77,6 @@ coker d_{p+1} = im d_p is free, so its diagonal is read off the rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -96,7 +95,6 @@ def index_tuples(k: int, p: int):
     return list(combinations(range(1, k + 1), p))
 
 
-@dataclass(frozen=True)
 class GradedChainComplex:
     """0 -> C_k -> ... -> C_0 -> 0 for one degree of one part, and for every
     degree with the same A_j and rho matrices.
@@ -105,13 +103,18 @@ class GradedChainComplex:
     ``boundaries`` (``boundaries[p - 1]`` is the map C_p -> C_{p-1}) and
     ``cells`` (H_p for p = 0..k) are built on first read; ``exact`` tells
     whether every cell is 0.  ``annihilator`` is a g with g H = 0 for every
-    homology cell, 0 when none is known.
+    homology cell, 0 when none is known.  Immutable, but for what is built
+    on first read, cached in its ``__dict__``.
     """
 
-    k: int
-    aj: FgAbGroup
-    rhos: tuple
-    annihilator: int = 0
+    def __init__(self, k: int, aj: FgAbGroup, rhos: tuple, annihilator: int = 0):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "aj", aj)
+        object.__setattr__(self, "rhos", rhos)
+        object.__setattr__(self, "annihilator", annihilator)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedChainComplex is immutable")
 
     @property
     def is_free(self) -> bool:

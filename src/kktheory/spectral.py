@@ -36,9 +36,9 @@ the next; the command line only renders the returned ``PipelineResult``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as _cartesian
 from math import comb
+from typing import NamedTuple
 
 from .abelian import (
     DEFAULT_EXTENSION_BOUND,
@@ -70,11 +70,19 @@ def _period(part: str) -> int:
 # The E2 page
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class E2Page:
-    k: int
-    partition: VertexPartition
-    complexes: dict        # (part, j) -> GradedChainComplex, shared by equal rho maps
+    """The E2 page: ``complexes`` maps (part, j) to its GradedChainComplex,
+    one object shared by the degrees with equal rho maps.  Immutable."""
+
+    __slots__ = ("k", "partition", "complexes")
+
+    def __init__(self, k: int, partition: VertexPartition, complexes: dict):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "complexes", complexes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("E2Page is immutable")
 
     def cell(self, part: str, p: int, q: int) -> HomologyResult | None:
         if not 0 <= p <= self.k:
@@ -119,8 +127,7 @@ def compute_e2(spec: KGraphSpec) -> E2Page:
 # Possible nonzero differentials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DifferentialEntry:
+class DifferentialEntry(NamedTuple):
     r: int
     source: tuple
     target: tuple
@@ -134,8 +141,7 @@ class DifferentialEntry:
                 (self.target[0] + self.target[1]) % period)
 
 
-@dataclass(frozen=True)
-class DifferentialReport:
+class DifferentialReport(NamedTuple):
     entries: tuple
 
     @property
@@ -173,15 +179,13 @@ def differential_report(page: E2Page) -> DifferentialReport:
 # Diagonal assembly: K-groups up to the reported ambiguities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagonalVariant:
+class DiagonalVariant(NamedTuple):
     label: str
     factors: tuple          # (p, j, group) with the variant's groups substituted
     candidates: tuple       # candidate K-groups for this variant
 
 
-@dataclass(frozen=True)
-class DiagonalAssembly:
+class DiagonalAssembly(NamedTuple):
     part: str
     q: int
     factors: tuple          # (p, j, group) for p = 0..k, subgroup end first
@@ -247,8 +251,7 @@ def assemble_diagonals(page: E2Page, report: DifferentialReport,
 # KU with its involution, and the 2-torsion core
 # ---------------------------------------------------------------------------
 
-@dataclass
-class KuPsiResult:
+class KuPsiResult(NamedTuple):
     ambiguous: bool
     reason: str | None
     ku: tuple | None        # 8 FgAbGroups
@@ -356,13 +359,13 @@ def compute_mu(ku, psi):
 # The core long-exact-sequence solver
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CoreConstraints:
     """Facts the solver must respect: ``known_mo`` maps q to the exact Z_2-rank
     of MO_q, ``mo_bounds`` maps q to an upper bound on it."""
 
-    known_mo: dict = field(default_factory=dict)
-    mo_bounds: dict = field(default_factory=dict)
+    def __init__(self, known_mo: dict | None = None, mo_bounds: dict | None = None):
+        self.known_mo = {} if known_mo is None else known_mo
+        self.mo_bounds = {} if mo_bounds is None else mo_bounds
 
 
 def _mu_ranks(mu_groups):
@@ -481,8 +484,7 @@ def derive_core_constraints(assemblies) -> CoreConstraints:
 # The pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """Everything one run computes.  ``mu``, ``constraints`` and ``solutions``
     are None when the complex part leaves KU ambiguous."""
 

@@ -263,6 +263,44 @@ def test_job_config_validation():
         JobConfig(input_path="x", ext_bound=0)
 
 
+def test_records_keep_their_defaults_checks_and_immutability():
+    first, second = spectral.CoreConstraints(), spectral.CoreConstraints()
+    first.known_mo[0] = first.mo_bounds[1] = 0
+    assert first.known_mo is not second.known_mo and first.mo_bounds is not second.mo_bounds
+    assert (second.known_mo, second.mo_bounds) == ({}, {})
+
+    config = JobConfig("x.json", output_format="json", emit_intermediate=True, emit_lifts=True)
+    assert (config.input_path, config.output_format, config.ext_bound, config.core_bound,
+            config.emit_intermediate, config.emit_lifts) == ("x.json", "json", 65536, 8, True, True)
+    for bad in ({"output_format": "xml"}, {"ext_bound": 0}, {"core_bound": 0}):
+        with pytest.raises(ParseError):
+            JobConfig("x.json", **bad)
+
+    cx = compute_e2(symmetric_three_vertex_spec(2)).complexes[("real", 0)]
+    hom = cx.boundaries[0]
+    for record, field in ((cx.aj, "moduli"), (hom, "matrix"), (cx, "annihilator")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+def test_a_run_imports_neither_dataclasses_nor_inspect():
+    # start-up cost: importing dataclasses pulls in inspect, ast, dis and tokenize
+    import os
+    import subprocess
+    root = pathlib.Path(__file__).parent.parent
+    script = (
+        "import io, sys\n"
+        "from kktheory import cli\n"
+        "config = cli.JobConfig('sample_inputs/random_k2_v4_s7.json', output_format='json',\n"
+        "                       emit_intermediate=True, emit_lifts=True)\n"
+        "assert cli.run(config, stdout=io.StringIO()) == 0\n"
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", script], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_text_output_matches_golden_snapshot(tmp_path):
     import pathlib
     golden = pathlib.Path(__file__).parent / "data" / "one_vertex_4_4.txt"

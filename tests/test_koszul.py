@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 from itertools import product as cartesian
@@ -21,7 +20,7 @@ from kktheory.abelian import (
 )
 from kktheory.kgraph import KGraphSpec, validate
 from kktheory.crmodule import build_rho
-from kktheory.koszul import build_complex, index_tuples
+from kktheory.koszul import GradedChainComplex, build_complex, index_tuples
 from kktheory.spectral import compute_e2
 
 from helpers import (
@@ -112,7 +111,7 @@ def with_block(rho, part, degree, rows):
     field = "real" if part == "real" else "cplx"
     homs = list(getattr(rho, field))
     homs[degree] = GroupHom(old.source, old.target, from_rows(rows))
-    return dataclasses.replace(rho, **{field: tuple(homs)})
+    return rho._replace(**{field: tuple(homs)})
 
 
 def test_build_complex_raises_on_noncommuting_rhos():
@@ -168,7 +167,7 @@ def test_e2_page_refuses_a_rank_three_boundary_off_its_first_blocks(monkeypatch)
     from kktheory import spectral
     base = random_valid_spec(random.Random(0), 3, 4)
     n = base.vertex_count
-    spec = dataclasses.replace(base, matrices=(IntMatrix.identity(n).scaled(2),) + base.matrices[1:])
+    spec = base._replace(matrices=(IntMatrix.identity(n).scaled(2),) + base.matrices[1:])
     spectral.compute_e2(spec)
     build = spectral.build_rho
 
@@ -243,6 +242,11 @@ def source_specs(source):
             for k, nv, seed in {"lattice": LATTICE, "scan": SCAN}[source]]
 
 
+def fresh_complex(cx):
+    """A copy of ``cx`` with nothing built yet."""
+    return GradedChainComplex(cx.k, cx.aj, cx.rhos, cx.annihilator)
+
+
 @functools.lru_cache(maxsize=None)
 def distinct_complexes(source):
     """(page key, complex, its E2 cells, the cells' groups read without g)
@@ -291,7 +295,7 @@ def test_cells_read_through_the_annihilator_match_the_general_path():
 def test_cells_with_g_at_least_2_take_no_minor(monkeypatch):
     """A cell killed by g >= 2 is read modulo g alone: no Bareiss minor and
     no boundary Smith diagonal, whether A_j is free, mixed or torsion."""
-    complexes = [(key, dataclasses.replace(cx), reference)
+    complexes = [(key, fresh_complex(cx), reference)
                  for key, cx, _, reference in annihilator_complexes() if cx.annihilator >= 2]
 
     def refuse(*args):
@@ -392,7 +396,7 @@ def test_counts_of_short_circuited_complexes_with_g_at_least_2():
 
 def test_f0_laid_out_from_the_rho_rows_is_the_first_map_of_cell_0():
     for key, cx, _, _ in annihilator_complexes():
-        fresh = dataclasses.replace(cx)
+        fresh = fresh_complex(cx)
         assert fresh._f0() == _first_map(fresh.boundary(1), fresh.boundary(0)), key
 
 
@@ -423,7 +427,7 @@ def test_a_g_at_least_2_complex_reads_f0_once(monkeypatch):
     for key, cx, _, reference in annihilator_complexes():
         if cx.annihilator < 2:
             continue
-        fresh, calls[:] = dataclasses.replace(cx), []
+        fresh, calls[:] = fresh_complex(cx), []
         assert [h.group for h in fresh.cells] == reference, key
         f0 = fresh._f0()
         if fresh.exact:
@@ -441,7 +445,7 @@ def test_an_exact_free_complex_prints_unit_diagonals_with_no_smith_loop(monkeypa
     # d_p of an exact complex of free modules has every invariant factor 1,
     # so --emit-intermediate reads its diagonal off the rank alone, for
     # g = 0, g = 1 and g >= 2
-    exact = [(key, dataclasses.replace(cx), [smith_diagonal(b.matrix) for b in cx.boundaries])
+    exact = [(key, fresh_complex(cx), [smith_diagonal(b.matrix) for b in cx.boundaries])
              for source in ("scan", "ladder 7,6")
              for key, cx, _, _ in distinct_complexes(source) if cx.is_free and cx.exact]
     for _, cx, _ in exact:
@@ -486,7 +490,7 @@ def read_g_0_complexes(monkeypatch):
             if cx.annihilator or id(cx) in done:
                 continue
             done.add(id(cx))
-            fresh, taken[:], composites[:] = dataclasses.replace(cx), [], []
+            fresh, taken[:], composites[:] = fresh_complex(cx), [], []
             fresh.cells
             yield key, cx, fresh, list(taken), list(composites)
 
