@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 
 from .abelian import DEFAULT_EXTENSION_BOUND, BoundExceeded
 from .kgraph import KGraphError, KGraphSpec
-from .spectral import run_pipeline
+from .spectral import DEFAULT_CORE_BOUND, run_pipeline
 
 SCHEMA = "kkth/1"
 
@@ -49,7 +49,8 @@ class ParseError(Exception):
 
 class JobConfig:
     def __init__(self, input_path: str, output_format: str = "text",
-                 ext_bound: int = DEFAULT_EXTENSION_BOUND, core_bound: int = 8,
+                 ext_bound: int = DEFAULT_EXTENSION_BOUND,
+                 core_bound: int = DEFAULT_CORE_BOUND,
                  emit_intermediate: bool = False, emit_lifts: bool = False):
         if output_format not in ("text", "json"):
             raise ParseError(f"unknown output format {output_format!r}")
@@ -408,9 +409,10 @@ def main(argv=None) -> int:
     cmd.add_argument("--format", choices=["text", "json"], default="text")
     cmd.add_argument("--ext-bound", type=int, default=DEFAULT_EXTENSION_BOUND,
                      help="order bound for extension enumeration and for the "
-                          "target of a d_r variant (default 65536)")
-    cmd.add_argument("--core-bound", type=int, default=8,
-                     help="Z_2-rank search bound for the core solver (default 8)")
+                          f"target of a d_r variant (default {DEFAULT_EXTENSION_BOUND})")
+    cmd.add_argument("--core-bound", type=int, default=DEFAULT_CORE_BOUND,
+                     help=f"Z_2-rank search bound for the core solver (default "
+                          f"{DEFAULT_CORE_BOUND})")
     cmd.add_argument("--emit-intermediate", action="store_true",
                      help="include chain complexes and SNF diagonals")
     cmd.add_argument("--emit-lifts", action="store_true",

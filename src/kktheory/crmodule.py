@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix, free_group, trivial_group
-from .kgraph import KGraphSpec, VertexPartition, validate
+from .kgraph import KGraphSpec, VertexPartition
 
 REAL_PERIOD = 8
 COMPLEX_PERIOD = 2
@@ -37,8 +37,6 @@ class GradedGroupA(NamedTuple):
     Z^(nf + 2 n1) in (fixed, paired, partners) coordinates, degree 1 is 0.
     """
 
-    n_fixed: int
-    n_paired: int
     real: tuple
     cplx: tuple
 
@@ -65,7 +63,7 @@ def build_graded_group(partition: VertexPartition) -> GradedGroupA:
         trivial_group(),                 # 7
     )
     cplx = (free_group(nf + 2 * n1), trivial_group())
-    return GradedGroupA(nf, n1, real, cplx)
+    return GradedGroupA(real, cplx)
 
 
 # rho on the zero groups (real degrees 3, 5, 7 and complex degree 1), shared
@@ -76,7 +74,6 @@ _ZERO_ENDO = GroupHom(trivial_group(), trivial_group(), IntMatrix.zeros(0, 0))
 class RhoMap(NamedTuple):
     """A single color's graded endomorphism of A."""
 
-    color: int
     real: tuple
     cplx: tuple
 
@@ -88,9 +85,8 @@ class RhoMap(NamedTuple):
         raise ValueError(f"unknown part {part!r}")
 
 
-def build_rho(spec: KGraphSpec, color: int,
-              partition: VertexPartition | None = None,
-              graded: GradedGroupA | None = None) -> RhoMap:
+def build_rho(spec: KGraphSpec, color: int, partition: VertexPartition,
+              graded: GradedGroupA) -> RhoMap:
     """The per-degree matrices of rho^color, read from B = I - M^t.
 
     B is read once from the input rows, in partition order (fixed, paired,
@@ -98,11 +94,9 @@ def build_rho(spec: KGraphSpec, color: int,
     b23], [b21, b23, b22]].  Complex degree 0 is B; real degree 0 is
     [[b11, 2 b12], [b21, b22 + b23]], degree 4 is [[b11, b12], [2 b21,
     b22 + b23]], degree 6 is b22 - b23, and degrees 1 and 2 are [b11] and
-    [[b11, b12], [0, b22 - b23]] with their Z_2 rows reduced mod 2."""
-    if partition is None:
-        partition = validate(spec)
-    if graded is None:
-        graded = build_graded_group(partition)
+    [[b11, b12], [0, b22 - b23]] with their Z_2 rows reduced mod 2.
+    ``partition`` is ``validate(spec)`` and ``graded`` its
+    ``build_graded_group``."""
     if not 1 <= color <= spec.k:
         raise ValueError(f"color must be in 1..{spec.k}")
     m = spec.matrices[color - 1].data
@@ -128,7 +122,7 @@ def build_rho(spec: KGraphSpec, color: int,
         real[degree] = GroupHom(g, g, IntMatrix(len(mat), g.ambient_rank, mat))
     cplx_group = graded.group("complex", 0)
     cplx = (GroupHom(cplx_group, cplx_group, IntMatrix(len(b), len(b), b)), _ZERO_ENDO)
-    return RhoMap(color=color, real=tuple(real), cplx=cplx)
+    return RhoMap(real=tuple(real), cplx=cplx)
 
 
 def psi_on_A(partition: VertexPartition) -> GroupHom:

@@ -6,7 +6,8 @@ the boundary block from tuple mu to the tuple with mu_i removed is
 (-1)^(i+1) rho^{mu_i}.  For k = 1, 2, 3 this reproduces the familiar
 two/three/four column complexes; for larger k the same block formula is used.
 
-A complex is held as A_j and the k matrices of rho^c on it; its groups, its
+A complex is made from A_j and the k matrices of rho^c on it alone, and
+computes its annihilator g (below) when it is made; its groups, its
 boundaries and its homology cells are built on first read.  Column block
 mu of a boundary holds only |mu| nonzero blocks, laid out row by row into
 preallocated zero rows.
@@ -84,8 +85,7 @@ from math import comb, gcd, lcm
 from .abelian import (CompositionNotZero, FgAbGroup, GroupHom, HomologyResult, IntMatrix,
                       _first_map, _rank_and_minor, annihilated_smith_diagonal,
                       smith_diagonal, trivial_group, zero_hom)
-from .crmodule import GradedGroupA, build_graded_group, build_rho
-from .kgraph import KGraphSpec, VertexPartition, first_noncommuting, validate
+from .kgraph import first_noncommuting
 
 
 def index_tuples(k: int, p: int):
@@ -99,19 +99,21 @@ class GradedChainComplex:
     """0 -> C_k -> ... -> C_0 -> 0 for one degree of one part, and for every
     degree with the same A_j and rho matrices.
 
-    ``rhos[c - 1]`` is the matrix of rho^c on ``aj`` = A_j.  ``groups``,
-    ``boundaries`` (``boundaries[p - 1]`` is the map C_p -> C_{p-1}) and
-    ``cells`` (H_p for p = 0..k) are built on first read; ``exact`` tells
-    whether every cell is 0.  ``annihilator`` is a g with g H = 0 for every
-    homology cell, 0 when none is known.  Immutable, but for what is built
-    on first read, cached in its ``__dict__``.
+    ``rhos[c - 1]`` is the matrix of rho^c on ``aj`` = A_j, and k is
+    ``len(rhos)``.  ``annihilator`` is the g of the module docstring,
+    computed here from ``aj`` and ``rhos``: g H = 0 for every homology cell,
+    and g = 0 when the determinants and moduli give no such bound.
+    ``groups``, ``boundaries`` (``boundaries[p - 1]`` is the map C_p ->
+    C_{p-1}) and ``cells`` (H_p for p = 0..k) are built on first read;
+    ``exact`` tells whether every cell is 0.  Immutable, but for what is
+    built on first read, cached in its ``__dict__``.
     """
 
-    def __init__(self, k: int, aj: FgAbGroup, rhos: tuple, annihilator: int = 0):
-        object.__setattr__(self, "k", k)
+    def __init__(self, aj: FgAbGroup, rhos: tuple):
+        object.__setattr__(self, "k", len(rhos))
         object.__setattr__(self, "aj", aj)
         object.__setattr__(self, "rhos", rhos)
-        object.__setattr__(self, "annihilator", annihilator)
+        object.__setattr__(self, "annihilator", _annihilator(aj, rhos))
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedChainComplex is immutable")
@@ -228,36 +230,18 @@ class GradedChainComplex:
         raise ValueError(f"no boundary at position {p}")
 
 
-def build_complex(spec: KGraphSpec, degree: int, part: str,
-                  partition: VertexPartition | None = None,
-                  graded: GradedGroupA | None = None,
-                  rhos: tuple | None = None) -> GradedChainComplex:
-    """The complex for one degree of one part, with its annihilator; raises
-    CompositionNotZero unless the rho maps commute in A_j."""
-    if part not in ("real", "complex"):
-        raise ValueError(f"unknown part {part!r}")
-    if partition is None:
-        partition = validate(spec)
-    if graded is None:
-        graded = build_graded_group(partition)
-    if rhos is None:
-        rhos = tuple(build_rho(spec, c, partition, graded) for c in range(1, spec.k + 1))
-    aj = graded.group(part, degree)
-    mats = tuple(rho.hom(part, degree).matrix for rho in rhos)
-    _certify_commuting(aj, mats)
-    return GradedChainComplex(k=spec.k, aj=aj, rhos=mats, annihilator=_annihilator(aj, mats))
-
-
-def _certify_commuting(aj, mats):
-    """Raise CompositionNotZero unless every commutator ab - ba, taken over
-    the pairs (c, d < c), vanishes in A_j: row i divisible by moduli[i],
-    zero when free (``kgraph.first_noncommuting``)."""
-    pair = first_noncommuting([m.data for m in mats], aj.moduli,
-                              ((c, d) for c in range(len(mats)) for d in range(c)))
+def build_complex(aj: FgAbGroup, rhos: tuple) -> GradedChainComplex:
+    """The complex of the matrices ``rhos`` of rho^1, ..., rho^k on ``aj`` =
+    A_j.  Raises CompositionNotZero unless every commutator ab - ba, taken
+    over the pairs (c, d < c), vanishes in A_j: row i divisible by
+    moduli[i], zero when free (``kgraph.first_noncommuting``)."""
+    pair = first_noncommuting([m.data for m in rhos], aj.moduli,
+                              ((c, d) for c in range(len(rhos)) for d in range(c)))
     if pair is not None:
         c, d = pair
         raise CompositionNotZero(f"boundary maps do not compose to zero: "
                                  f"rho^{d + 1} and rho^{c + 1} do not commute")
+    return GradedChainComplex(aj, rhos)
 
 
 def _annihilator(aj, mats) -> int:

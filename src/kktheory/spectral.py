@@ -58,6 +58,9 @@ from .koszul import build_complex
 from .kgraph import KGraphSpec, VertexPartition, validate
 
 
+DEFAULT_CORE_BOUND = 8
+
+
 class NoSolution(Exception):
     """The core constraints admit no MO table (inconsistent inputs)."""
 
@@ -115,9 +118,10 @@ def compute_e2(spec: KGraphSpec) -> E2Page:
     seen = {}              # (moduli, rho matrices) -> complex
     for part in ("real", "complex"):
         for j in range(_period(part)):
-            key = (graded.group(part, j).moduli, tuple(rho.hom(part, j).matrix for rho in rhos))
+            aj, mats = graded.group(part, j), tuple(rho.hom(part, j).matrix for rho in rhos)
+            key = (aj.moduli, mats)
             if key not in seen:
-                seen[key] = build_complex(spec, j, part, partition, graded, rhos)
+                seen[key] = build_complex(aj, mats)
                 seen[key].cells  # read here, so that the time stays in this stage
             complexes[(part, j)] = seen[key]
     return E2Page(k=spec.k, partition=partition, complexes=complexes)
@@ -287,50 +291,46 @@ def _normalize_endo(group: FgAbGroup, mat: IntMatrix) -> IntMatrix:
     return IntMatrix(mat.rows, mat.cols, rows)
 
 
-def compute_ku_with_psi(page: E2Page, report: DifferentialReport) -> KuPsiResult:
-    """KU_q read off the complex diagonals; psi induced by the coordinate
-    swap of paired vertices, extended by psi_{q+2} = -psi_q.
+def compute_ku_with_psi(page: E2Page, cplx) -> KuPsiResult:
+    """KU_q read off the complex diagonal assemblies ``cplx``; psi induced by
+    the coordinate swap of paired vertices, extended by psi_{q+2} = -psi_q.
 
     psi has period 4, so four maps are built, psi_0, psi_1 and their
-    normalised negations, and psi_{q+4} is psi_q itself; the swap on A is
-    laid out only when a KU cell is nonzero.  When a complex diagonal
-    carries more than one nonzero factor, or the report lists a possible
-    nonzero complex differential, the result is returned flagged ambiguous
-    instead of guessing.
+    negations, and psi_{q+4} is psi_q itself; the swap on A is laid out
+    only when a KU cell is nonzero.  ``induced_hom`` reduces each torsion
+    coordinate of psi_0 and psi_1 already; only the negations are reduced
+    here.  When an assembly is ambiguous, for a possible nonzero complex
+    differential or for more than one nonzero factor, the result is returned
+    flagged ambiguous instead of guessing.
     """
-    complex_entries = [e for e in report.entries if e.part == "complex"]
-    if complex_entries:
+    if any(asm.status == "d2_ambiguous" for asm in cplx):
         return KuPsiResult(True, "possible nonzero differential in the complex part",
                            None, None)
-    base = {}
-    for q in (0, 1):
-        nonzero = [(p, page.cell("complex", p, q - p)) for p in range(page.k + 1)
-                   if not page.group("complex", p, q - p).is_trivial]
-        if len(nonzero) > 1:
+    nonzero = [[p for p, _, g in asm.factors if not g.is_trivial] for asm in cplx]
+    for asm, columns in zip(cplx, nonzero):
+        if asm.status == "extension_ambiguous":
             return KuPsiResult(
-                True, f"complex diagonal q={q} has {len(nonzero)} nonzero factors",
+                True, f"complex diagonal q={asm.q} has {len(columns)} nonzero factors",
                 None, None)
-        base[q] = nonzero[0] if nonzero else None
 
-    psi_block = psi_on_A(page.partition).matrix if any(base.values()) else None
+    psi_block = psi_on_A(page.partition).matrix if any(nonzero) else None
     ku = []
     psi = []
-    for q in (0, 1):
-        if base[q] is None:
+    for asm, columns in zip(cplx, nonzero):
+        if not columns:
             g = trivial_group()
             ku.append(g)
             psi.append(GroupHom(g, g, IntMatrix.zeros(0, 0)))
             continue
-        p0, cell = base[q]
+        p0 = columns[0]
+        cell = page.cell("complex", p0, asm.q - p0)
         cp_group = page.complexes[("complex", 0)].groups[p0]
         n, copies = psi_block.rows, comb(page.k, p0)
         chain_component = GroupHom(cp_group, cp_group, IntMatrix(n * copies, n * copies, [
             (0,) * (n * a) + row + (0,) * (n * (copies - a - 1))
             for a in range(copies) for row in psi_block.data]))
-        ind = induced_hom(chain_component, cell, cell)
         ku.append(cell.group)
-        psi.append(GroupHom(ind.source, ind.target,
-                            _normalize_endo(cell.group, ind.matrix)))
+        psi.append(induced_hom(chain_component, cell, cell))
     psi += [GroupHom(h.source, h.target, _normalize_endo(g, -h.matrix))
             for g, h in zip(ku, psi)]
     return KuPsiResult(False, None, tuple(ku) * 4, tuple(psi) * 2)
@@ -378,7 +378,7 @@ def _mu_ranks(mu_groups):
 
 
 def enumerate_core_solutions(mu_groups, constraints: CoreConstraints | None = None,
-                             rank_bound: int = 8):
+                             rank_bound: int = DEFAULT_CORE_BOUND):
     """All MO tables consistent with exactness of the 24-term core sequence.
 
     Works with Z_2-ranks.  Write eta_m and c_m for the image ranks of
@@ -499,13 +499,13 @@ class PipelineResult(NamedTuple):
 
 
 def run_pipeline(spec: KGraphSpec, ext_bound: int = DEFAULT_EXTENSION_BOUND,
-                 core_bound: int = 8) -> PipelineResult:
+                 core_bound: int = DEFAULT_CORE_BOUND) -> PipelineResult:
     """Validate, build the E2 page and read everything off it, each once."""
     page = compute_e2(spec)
     report = differential_report(page)
     real = assemble_diagonals(page, report, "real", ext_bound)
     cplx = assemble_diagonals(page, report, "complex", ext_bound)
-    kupsi = compute_ku_with_psi(page, report)
+    kupsi = compute_ku_with_psi(page, cplx)
     mu = constraints = solutions = None
     if not kupsi.ambiguous:
         mu = compute_mu(kupsi.ku, kupsi.psi)

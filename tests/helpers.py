@@ -23,7 +23,9 @@ library's product over nonzero entries and its row-by-row boundary layout;
 ``restarting_diagonal_mod`` (a unit search that restarts from the first row
 after each unit) are the oracles for the library's Smith diagonal steps.  ``block_rho`` (the blocks of I - M^t,
 assembled per degree) is the oracle for ``build_rho``, which reads the rows
-of I - M^t once.
+of I - M^t once.  ``rho_of`` and ``ku_psi`` build what ``build_rho`` and
+``compute_ku_with_psi`` take from the stages before them, and ``complex_of``
+builds one degree's complex on its own, outside ``compute_e2``.
 Matrix, group and hom constructors that no calculator code needs
 (``from_rows``, ``transpose``, ``cyclic_group``, ``direct_sum``,
 ``identity_hom``, ``compose``, ...) live here too.
@@ -49,7 +51,8 @@ from kktheory.abelian import (
 )
 from kktheory.crmodule import RhoMap, build_graded_group, build_rho
 from kktheory.kgraph import KGraphSpec, VertexPartition, validate
-from kktheory.koszul import GradedChainComplex, index_tuples
+from kktheory.koszul import GradedChainComplex, build_complex, index_tuples
+from kktheory.spectral import assemble_diagonals, compute_ku_with_psi, differential_report
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +289,27 @@ def random_valid_spec(rng, k=None, nv=None) -> KGraphSpec:
         mats.append(IntMatrix.identity(nv).scaled(a) + seed.scaled(b) + seed2.scaled(c))
     return KGraphSpec(k=k, vertices=tuple(f"v{i}" for i in range(nv)),
                       matrices=tuple(mats), involution=tuple(gamma))
+
+
+def rho_of(spec: KGraphSpec, color: int, partition: VertexPartition | None = None) -> RhoMap:
+    """``build_rho`` with the partition (``validate(spec)`` unless given) and
+    the graded module that it takes."""
+    partition = validate(spec) if partition is None else partition
+    return build_rho(spec, color, partition, build_graded_group(partition))
+
+
+def complex_of(spec: KGraphSpec, degree: int, part: str) -> GradedChainComplex:
+    """``build_complex`` of one degree of one part of ``spec``, on its own."""
+    partition = validate(spec)
+    graded = build_graded_group(partition)
+    return build_complex(graded.group(part, degree), tuple(
+        build_rho(spec, c, partition, graded).hom(part, degree).matrix
+        for c in range(1, spec.k + 1)))
+
+
+def ku_psi(page):
+    """``compute_ku_with_psi`` on the complex diagonal assemblies of ``page``."""
+    return compute_ku_with_psi(page, assemble_diagonals(page, differential_report(page), "complex"))
 
 
 def one_vertex_spec(m, n) -> KGraphSpec:
@@ -990,7 +1014,7 @@ def block_rho(spec: KGraphSpec, color: int, partition: VertexPartition) -> RhoMa
     )
     cplx_group = graded.group("complex", 0)
     cplx = (GroupHom(cplx_group, cplx_group, blocks.reassemble()), zero_endo)
-    return RhoMap(color=color, real=real, cplx=cplx)
+    return RhoMap(real=real, cplx=cplx)
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,8 @@ def scan_boundaries():
         rhos = tuple(build_rho(spec, c, partition, graded) for c in range(1, k + 1))
         for part, period in (("real", REAL_PERIOD), ("complex", COMPLEX_PERIOD)):
             for j in range(period):
-                cx = build_complex(spec, j, part, partition, graded, rhos)
+                cx = build_complex(graded.group(part, j),
+                                   tuple(rho.hom(part, j).matrix for rho in rhos))
                 for b in cx.boundaries:
                     matrices.setdefault(b.matrix, (k, nv, seed))
     return matrices

@@ -21,13 +21,11 @@ from kktheory.abelian import (
     smith_normal_form,
     trivial_group,
 )
-from kktheory.crmodule import build_rho
 from kktheory.kgraph import validate
 from kktheory.spectral import (
     CoreConstraints,
     assemble_diagonals,
     compute_e2,
-    compute_ku_with_psi,
     compute_mu,
     differential_report,
     enumerate_core_solutions,
@@ -42,11 +40,13 @@ from helpers import (
     cyclic_group,
     determinant,
     from_rows,
+    ku_psi,
     one_vertex_spec,
     oracle_homology_invariants,
     random_finite_complex,
     random_valid_spec,
     real_block_table,
+    rho_of,
     snf_d,
     standard_tables,
     symmetric_three_vertex_spec,
@@ -114,7 +114,7 @@ def test_criterion_1_one_vertex_odd_gcd(m, n):
     where = f"(m,n)=({m},{n}): g={g} {parity}"
     spec = one_vertex_spec(m, n)
     page = compute_e2(spec)
-    result = compute_ku_with_psi(page, differential_report(page))
+    result = ku_psi(page)
     assert not result.ambiguous, f"{where}: KU must not be ambiguous"
     assert all(group == zg for group in result.ku), \
         f"{where}: KU_q must equal {zg.describe()}"
@@ -184,7 +184,7 @@ def test_criterion_3_symmetric_family(n):
         want = expected.get(q, [trivial_group()] * 3)
         assert grid[q] == want, f"row q={q}"
 
-    result = compute_ku_with_psi(page, differential_report(page))
+    result = ku_psi(page)
     assert all(group == z2n for group in result.ku)
     assert [result.psi_scalar(q) for q in range(8)] == [-1, -1, 1, 1, -1, -1, 1, 1]
 
@@ -228,7 +228,7 @@ def test_criterion_4_asymmetric_family(n):
         want = expected.get(q, [trivial_group()] * 3)
         assert grid[q] == want, f"row q={q} for n={n}"
 
-    result = compute_ku_with_psi(page, differential_report(page))
+    result = ku_psi(page)
     assert all(group == Z2 for group in result.ku)
     assert all(result.psi_scalar(q) == 1 for q in range(8))
     mu = compute_mu(result.ku, result.psi)
@@ -353,7 +353,7 @@ def test_criterion_9_complexification_naturality():
         part = validate(spec)
         c = complexification_degree0(part)
         for color in range(1, spec.k + 1):
-            rho = build_rho(spec, color, part)
+            rho = rho_of(spec, color, part)
             lhs = rho.hom("complex", 0).matrix @ c
             rhs = c @ rho.hom("real", 0).matrix
             assert lhs == rhs, f"trial {trial}, color {color}"

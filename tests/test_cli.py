@@ -263,6 +263,15 @@ def test_job_config_validation():
         JobConfig(input_path="x", ext_bound=0)
 
 
+def test_help_prints_the_default_bounds(capsys):
+    with pytest.raises(SystemExit):
+        main(["compute", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "target of a d_r variant (default 65536)" in out
+    assert "bound for the core solver (default 8)" in out
+    assert (abelian.DEFAULT_EXTENSION_BOUND, spectral.DEFAULT_CORE_BOUND) == (65536, 8)
+
+
 def test_records_keep_their_defaults_checks_and_immutability():
     first, second = spectral.CoreConstraints(), spectral.CoreConstraints()
     first.known_mo[0] = first.mo_bounds[1] = 0

@@ -6,7 +6,7 @@ import pytest
 
 from kktheory.abelian import FgAbGroup, IntMatrix, free_group, same_presentation
 from kktheory.cli import load_spec
-from kktheory.crmodule import build_graded_group, build_rho, psi_on_A
+from kktheory.crmodule import build_graded_group, psi_on_A
 from kktheory.kgraph import KGraphSpec, validate
 
 from helpers import (
@@ -21,6 +21,7 @@ from helpers import (
     one_vertex_spec,
     random_valid_spec,
     real_block_table,
+    rho_of,
     standard_tables,
     symmetric_three_vertex_spec,
 )
@@ -129,7 +130,7 @@ def test_graded_groups_mixed():
 def test_rho_degree_matrices_symmetric_family():
     n = 5
     spec = symmetric_three_vertex_spec(n)
-    rho = build_rho(spec, 1)
+    rho = rho_of(spec, 1)
     assert rho.hom("real", 0).matrix == from_rows([[0, -2], [-1, 2 - n]])
     assert rho.hom("real", 6).matrix == from_rows([[n]])
     assert rho.hom("real", 1).matrix == from_rows([[0]])
@@ -141,7 +142,7 @@ def test_rho_degree_matrices_symmetric_family():
 def test_rho_complex_part_is_full_matrix():
     n = 3
     spec = symmetric_three_vertex_spec(n)
-    rho = build_rho(spec, 1)
+    rho = rho_of(spec, 1)
     assert rho.hom("complex", 0).matrix == from_rows(
         [[0, -1, -1], [-1, 1, 1 - n], [-1, 1 - n, 1]])
 
@@ -152,7 +153,7 @@ def test_rho_well_defined_for_random_specs():
         spec = random_valid_spec(rng)
         part = validate(spec)
         for color in range(1, spec.k + 1):
-            rho = build_rho(spec, color, part)   # constructors certify
+            rho = rho_of(spec, color, part)   # constructors certify
             for j in range(8):
                 rho.hom("real", j)
             rho.hom("complex", 0)
@@ -180,7 +181,7 @@ def test_rho_matches_the_block_route():
         part = validate(spec)
         shapes.add((part.n_fixed == 0, part.n_paired == 0))
         for color in range(1, spec.k + 1):
-            got, want = build_rho(spec, color, part), block_rho(spec, color, part)
+            got, want = rho_of(spec, color, part), block_rho(spec, color, part)
             for part_name, degrees in (("real", range(8)), ("complex", range(2))):
                 for j in degrees:
                     g, w = got.hom(part_name, j), want.hom(part_name, j)
@@ -194,7 +195,7 @@ def test_rho_refuses_a_color_outside_1_to_k():
     spec = symmetric_three_vertex_spec(2)
     for color in (0, 3):
         with pytest.raises(ValueError, match=r"color must be in 1\.\.2"):
-            build_rho(spec, color)
+            rho_of(spec, color)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,7 @@ def test_psi_is_involution_and_commutes_with_rho():
         n = psi.matrix.rows
         assert psi.matrix @ psi.matrix == IntMatrix.identity(n)
         for color in range(1, spec.k + 1):
-            rho = build_rho(spec, color, part).hom("complex", 0).matrix
+            rho = rho_of(spec, color, part).hom("complex", 0).matrix
             assert psi.matrix @ rho == rho @ psi.matrix
 
 
@@ -243,5 +244,5 @@ def test_complexification_naturality_degree_zero():
         part = validate(spec)
         c = complexification_degree0(part)
         for color in range(1, spec.k + 1):
-            rho = build_rho(spec, color, part)
+            rho = rho_of(spec, color, part)
             assert rho.hom("complex", 0).matrix @ c == c @ rho.hom("real", 0).matrix

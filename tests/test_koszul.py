@@ -8,6 +8,7 @@ import pytest
 from kktheory import abelian, koszul
 from kktheory.abelian import (
     CompositionNotZero,
+    FgAbGroup,
     GroupHom,
     IntMatrix,
     _diagonal_mod,
@@ -19,17 +20,19 @@ from kktheory.abelian import (
     smith_diagonal,
 )
 from kktheory.kgraph import KGraphSpec, validate
-from kktheory.crmodule import build_rho
+from kktheory.crmodule import build_graded_group
 from kktheory.koszul import GradedChainComplex, build_complex, index_tuples
 from kktheory.spectral import compute_e2
 
 from helpers import (
     LaidOutComplex,
     asymmetric_three_vertex_spec,
+    complex_of,
     dense_koszul_boundaries,
     from_rows,
     one_vertex_spec,
     random_valid_spec,
+    rho_of,
     symmetric_three_vertex_spec,
     transpose,
     verify_square_zero,
@@ -45,7 +48,7 @@ def test_index_tuples_counts_and_order():
 
 def test_one_vertex_complex_degree_zero():
     m, n = 4, 6
-    cx = build_complex(one_vertex_spec(m, n), 0, "complex")
+    cx = complex_of(one_vertex_spec(m, n), 0, "complex")
     assert [g.describe() for g in cx.groups] == ["Z", "Z + Z", "Z"]
     # colors: rho^1 = 1 - m, rho^2 = 1 - n
     assert cx.boundaries[0].matrix == from_rows([[1 - m, 1 - n]])
@@ -54,25 +57,24 @@ def test_one_vertex_complex_degree_zero():
 
 def test_rank_one_degree_three_is_trivial():
     spec = KGraphSpec.from_lists(1, ["v"], [[[3]]], [0])
-    cx = build_complex(spec, 3, "real")
+    cx = complex_of(spec, 3, "real")
     assert all(g.is_trivial for g in cx.groups)
     assert cx.boundaries[0].matrix.shape == (0, 0)
 
 
 def test_rank_one_boundary_is_rho():
-    from kktheory.crmodule import build_rho
     spec = KGraphSpec.from_lists(1, ["a", "b"], [[[1, 2], [2, 1]]], [1, 0])
-    rho = build_rho(spec, 1)
+    rho = rho_of(spec, 1)
     for part, degrees in (("real", range(8)), ("complex", range(2))):
         for j in degrees:
-            cx = build_complex(spec, j, part)
+            cx = complex_of(spec, j, part)
             assert cx.boundaries[0].matrix == rho.hom(part, j).matrix
 
 
 def test_rank_three_top_boundary_signs():
     spec = KGraphSpec.from_lists(
         3, ["v"], [[[2]], [[3]], [[4]]], [0])
-    cx = build_complex(spec, 0, "complex")
+    cx = complex_of(spec, 0, "complex")
     r1, r2, r3 = 1 - 2, 1 - 3, 1 - 4
     assert cx.boundaries[2].matrix == from_rows([[r3], [-r2], [r1]])
     assert cx.boundaries[1].matrix == from_rows([
@@ -83,7 +85,7 @@ def test_square_zero_for_built_complexes():
     spec = symmetric_three_vertex_spec(3)
     for part, degrees in (("real", range(8)), ("complex", range(2))):
         for j in degrees:
-            report = verify_square_zero(build_complex(spec, j, part))
+            report = verify_square_zero(complex_of(spec, j, part))
             assert report.all_passed
 
 
@@ -120,23 +122,54 @@ def test_build_complex_raises_on_noncommuting_rhos():
     # commute over Z nor mod 2; with [[1, 0], [2, 1]] the commutator is
     # diag(2, -2), which vanishes in Z_2^2 only
     spec = KGraphSpec.from_lists(2, ["a", "b"], [[[1, 0], [0, 1]]] * 2, [0, 1])
-    rhos = (build_rho(spec, 1), build_rho(spec, 2))
+    graded = build_graded_group(validate(spec))
+    rhos = (rho_of(spec, 1), rho_of(spec, 2))
 
     def pair(part, degree, second):
         return (with_block(rhos[0], part, degree, [[1, 1], [0, 1]]),
                 with_block(rhos[1], part, degree, second))
 
+    def build(degree, part, rhos):
+        return build_complex(graded.group(part, degree),
+                             tuple(rho.hom(part, degree).matrix for rho in rhos))
+
     for part, degree in (("real", 0), ("complex", 0), ("real", 1)):
         with pytest.raises(CompositionNotZero, match="rho.1 and rho.2"):
-            build_complex(spec, degree, part, rhos=pair(part, degree, [[1, 0], [1, 1]]))
+            build(degree, part, pair(part, degree, [[1, 0], [1, 1]]))
     with pytest.raises(CompositionNotZero):
-        build_complex(spec, 0, "real", rhos=pair("real", 0, [[1, 0], [2, 1]]))
-    cx = build_complex(spec, 1, "real", rhos=pair("real", 1, [[1, 0], [2, 1]]))
+        build(0, "real", pair("real", 0, [[1, 0], [2, 1]]))
+    cx = build(1, "real", pair("real", 1, [[1, 0], [2, 1]]))
     assert verify_square_zero(cx).all_passed
     # the unchanged maps commute in every degree
     for part, degrees in (("real", range(8)), ("complex", range(2))):
         for j in degrees:
-            build_complex(spec, j, part, rhos=rhos)
+            build(j, part, rhos)
+
+
+def test_build_complex_takes_a_j_and_the_rho_matrices_alone():
+    # the commutator of [[1, 1], [0, 1]] and diag(1, 3) is [[0, 2], [0, 0]]:
+    # nonzero on Z^2, zero on Z_2 + Z, whose Z_2 row takes the 2
+    first, second = from_rows([[1, 1], [0, 1]]), from_rows([[1, 0], [0, 3]])
+    with pytest.raises(CompositionNotZero, match="rho.1 and rho.2"):
+        build_complex(free_group(2), (first, second))
+    with pytest.raises(CompositionNotZero, match="rho.1 and rho.3"):
+        build_complex(free_group(2), (first, first, second))
+    cx = build_complex(FgAbGroup((2, 0)), (first, second))
+    assert (cx.k, cx.aj, cx.rhos) == (2, FgAbGroup((2, 0)), (first, second))
+    assert verify_square_zero(cx).all_passed
+
+
+def test_a_complex_derives_k_and_its_annihilator():
+    # one-vertex (3, 3), complex degree 0: rho^1 = rho^2 = 1 - 3, so g = 2,
+    # and the cells are Z_2, Z_2, 0
+    rhos = (from_rows([[-2]]), from_rows([[-2]]))
+    cx = GradedChainComplex(free_group(1), rhos)
+    assert (cx.k, cx.annihilator) == (2, 2)
+    assert [h.group.describe() for h in cx.cells] == ["Z_2", "Z_2", "0"]
+    assert [h.group for h in cx.cells] == \
+        [h.group for h in compute_e2(one_vertex_spec(3, 3)).complexes[("complex", 0)].cells]
+    for k in (1, 3, 4):
+        assert GradedChainComplex(free_group(1), rhos[:1] * k).k == k
 
 
 def test_e2_page_refuses_boundaries_that_do_not_compose_to_zero(monkeypatch):
@@ -179,7 +212,7 @@ def test_e2_page_refuses_a_rank_three_boundary_off_its_first_blocks(monkeypatch)
         rows[-1][-1] += 1
         return with_block(rho, "complex", 0, rows)
 
-    rho2 = build(spec, 2).hom("complex", 0).matrix
+    rho2 = spectral.compute_e2(spec).complexes[("complex", 0)].rhos[1]
     assert any(rho2[n - 1, j] for j in range(n - 1)) or any(rho2[i, n - 1] for i in range(n - 1))
     monkeypatch.setattr(spectral, "build_rho", broken)
     with pytest.raises(CompositionNotZero, match="rho.2 and rho.3"):
@@ -192,7 +225,7 @@ def test_boundaries_match_the_dense_block_grid():
         spec = random_valid_spec(rng, k)
         for part, degrees in (("real", range(8)), ("complex", range(2))):
             for j in degrees:
-                built = [b.matrix for b in build_complex(spec, j, part).boundaries]
+                built = [b.matrix for b in complex_of(spec, j, part).boundaries]
                 assert built == dense_koszul_boundaries(spec, j, part), (k, part, j)
 
 
@@ -200,7 +233,7 @@ def test_trivial_involution_complex_part_is_plain_koszul():
     # with no orbits the degree-0 complex part blocks are exactly I - M^t
     spec = KGraphSpec.from_lists(
         2, ["a", "b"], [[[2, 1], [1, 2]], [[1, 1], [1, 1]]], [0, 1])
-    cx = build_complex(spec, 0, "complex")
+    cx = complex_of(spec, 0, "complex")
     b1 = IntMatrix.identity(2) - transpose(spec.matrices[0])
     b2 = IntMatrix.identity(2) - transpose(spec.matrices[1])
     assert cx.boundaries[0].matrix == IntMatrix.hstack(b1, b2)
@@ -211,10 +244,9 @@ def test_square_zero_random_specs_all_degrees():
     rng = random.Random(71)
     for _ in range(10):
         spec = random_valid_spec(rng)
-        part = validate(spec)
         for part_name, degrees in (("real", range(8)), ("complex", range(2))):
             for j in degrees:
-                assert verify_square_zero(build_complex(spec, j, part_name, part)).all_passed
+                assert verify_square_zero(complex_of(spec, j, part_name)).all_passed
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +276,7 @@ def source_specs(source):
 
 def fresh_complex(cx):
     """A copy of ``cx`` with nothing built yet."""
-    return GradedChainComplex(cx.k, cx.aj, cx.rhos, cx.annihilator)
+    return GradedChainComplex(cx.aj, cx.rhos)
 
 
 @functools.lru_cache(maxsize=None)
@@ -326,7 +358,7 @@ def test_composite_annihilator_cuts_the_chain_at_the_rank_after_sorting():
     # 24 x 36 boundary d_2 has rank 6 C(3, 1) = 18.  Modulo g it leaves 19
     # nonzero residues, ending in 4 and 39650; sorted into a chain these are
     # 2 and 79300 = g, so cutting at 18 before sorting would read a 4
-    cx = build_complex(random_valid_spec(random.Random(3), 4, 6), 0, "complex")
+    cx = complex_of(random_valid_spec(random.Random(3), 4, 6), 0, "complex")
     b = cx.boundaries[1].matrix
     assert (cx.annihilator, cx.is_free, b.shape) == (79300, True, (24, 36))
     residues = sorted(gcd(e, 79300) for e in _diagonal_mod(b.data, 79300))
@@ -351,9 +383,9 @@ def test_annihilator_of_one_vertex_complexes():
     # degrees; real degree 1 is Z_2, so there g also divides 2
     for m, n in ((4, 4), (6, 4), (3, 5), (7, 7)):
         spec = one_vertex_spec(m, n)
-        assert build_complex(spec, 0, "complex").annihilator == gcd(m - 1, n - 1)
-        assert build_complex(spec, 1, "real").annihilator == gcd(m - 1, n - 1, 2)
-        assert build_complex(spec, 3, "real").annihilator == 1
+        assert complex_of(spec, 0, "complex").annihilator == gcd(m - 1, n - 1)
+        assert complex_of(spec, 1, "real").annihilator == gcd(m - 1, n - 1, 2)
+        assert complex_of(spec, 3, "real").annihilator == 1
 
 
 @pytest.mark.parametrize("k, nv", [(7, 6), (8, 6), (10, 4)])
@@ -405,7 +437,7 @@ def test_h0_is_0_where_unit_pivots_alone_do_not_show_it(k):
     # scan input (k, 5, 3), complex degree 0: g = 6 and H_0 = 0, but modulo 6
     # the unit pivots of F_0 leave two rows with no unit entry, so only the
     # Smith loop finds that every invariant factor of F_0 is 1
-    cx = build_complex(random_valid_spec(random.Random(3), k, 5), 0, "complex")
+    cx = complex_of(random_valid_spec(random.Random(3), k, 5), 0, "complex")
     units, rest = _peel_units([[x % 6 for x in row] for row in cx._f0().data], 6)
     assert (cx.annihilator, cx.is_free, units, len(rest)) == (6, True, 3, 2)
     assert not any(gcd(x, 6) == 1 for row in rest for x in row)

@@ -18,7 +18,7 @@ from kktheory.abelian import (  # noqa: E402
     homology,
     smith_diagonal,
 )
-from kktheory.koszul import GradedChainComplex, _annihilator  # noqa: E402
+from kktheory.koszul import GradedChainComplex  # noqa: E402
 
 
 @st.composite
@@ -37,8 +37,7 @@ def complexes(draw):
     s = IntMatrix(n, n, s)
     square = s @ s
     rhos = tuple(s.scaled(draw(entry)) + square.scaled(draw(entry)) for _ in range(k))
-    aj = FgAbGroup(tuple(moduli))
-    return GradedChainComplex(k=k, aj=aj, rhos=rhos, annihilator=_annihilator(aj, rhos))
+    return GradedChainComplex(FgAbGroup(tuple(moduli)), rhos)
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)

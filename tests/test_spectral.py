@@ -20,11 +20,12 @@ from kktheory.abelian import (
     zero_hom,
 )
 from kktheory.cli import _assembly_json, _render_assembly_lines, load_spec
-from kktheory.koszul import build_complex
 from kktheory.spectral import (
     CoreConstraints,
+    DiagonalAssembly,
     DifferentialEntry,
     DifferentialReport,
+    KuPsiResult,
     NoSolution,
     assemble_diagonals,
     compute_e2,
@@ -39,12 +40,14 @@ from kktheory.spectral import (
 from helpers import (
     abelian_groups_of_order,
     asymmetric_three_vertex_spec,
+    complex_of,
     core_table_consistent,
     cyclic_group,
     enumerate_cycle_by_sweep,
     hom_equals,
     identity_hom,
     injective_variants_by_homs,
+    ku_psi,
     one_vertex_spec,
     random_valid_spec,
     symmetric_three_vertex_spec,
@@ -134,7 +137,7 @@ def test_complexes_with_equal_boundaries_are_shared():
     for spec in specs:
         page = compute_e2(spec)
         for (part, j), cx in page.complexes.items():
-            assert boundaries(build_complex(spec, j, part)) == boundaries(cx)
+            assert boundaries(complex_of(spec, j, part)) == boundaries(cx)
         for (a, cx), (b, cy) in combinations(page.complexes.items(), 2):
             assert (cx is cy) == (boundaries(cx) == boundaries(cy)), (a, b)
             assert (cx is cy) == all(page.cell(a[0], p, a[1]) is page.cell(b[0], p, b[1])
@@ -242,7 +245,7 @@ def test_determined_diagonal_order_identity():
 def test_ku_psi_symmetric_family(n, signs):
     spec = symmetric_three_vertex_spec(n)
     page = compute_e2(spec)
-    result = compute_ku_with_psi(page, differential_report(page))
+    result = ku_psi(page)
     assert not result.ambiguous
     assert all(g == cyclic_group(2 * n) for g in result.ku)
     assert [result.psi_scalar(q) for q in range(8)] == signs
@@ -251,7 +254,7 @@ def test_ku_psi_symmetric_family(n, signs):
 def test_ku_psi_one_vertex():
     spec = one_vertex_spec(4, 4)
     page = compute_e2(spec)
-    result = compute_ku_with_psi(page, differential_report(page))
+    result = ku_psi(page)
     assert all(g == cyclic_group(3) for g in result.ku)
     assert result.psi_scalar(0) == 1 and result.psi_scalar(1) == 1
 
@@ -260,7 +263,7 @@ def test_ku_psi_asymmetric_family():
     for n in (2, 5):
         spec = asymmetric_three_vertex_spec(n)
         page = compute_e2(spec)
-        result = compute_ku_with_psi(page, differential_report(page))
+        result = ku_psi(page)
         assert all(g == Z2 for g in result.ku)
         assert all(result.psi_scalar(q) == 1 for q in range(8))
 
@@ -334,7 +337,7 @@ def test_psi_on_a_is_not_built_when_every_ku_group_is_0(monkeypatch):
 
     monkeypatch.setattr(spectral, "psi_on_A", refuse)
     page = compute_e2(random_valid_spec(random.Random(1), 2, 4))
-    result = compute_ku_with_psi(page, differential_report(page))
+    result = ku_psi(page)
     assert not result.ambiguous and all(g.is_trivial for g in result.ku)
     assert all(h.matrix.shape == (0, 0) for h in result.psi)
 
@@ -342,7 +345,7 @@ def test_psi_on_a_is_not_built_when_every_ku_group_is_0(monkeypatch):
 def test_mu_from_pipeline_is_two_torsion():
     spec = symmetric_three_vertex_spec(4)
     page = compute_e2(spec)
-    result = compute_ku_with_psi(page, differential_report(page))
+    result = ku_psi(page)
     mu = compute_mu(result.ku, result.psi)
     assert all(x == Z2 for x in mu)
 
@@ -504,7 +507,7 @@ def test_a_kernel_lattice_is_decomposed_once(monkeypatch):
             [tuple(int(j == i) for j in range(n)) for i in range(n)]
         assert hom_equals(induced_hom(identity_hom(cell.middle), cell, cell),
                           identity_hom(cell.group))
-    result = compute_ku_with_psi(page, report)
+    result = compute_ku_with_psi(page, assemble_diagonals(page, report, "complex"))
     assert all(g == cyclic_group(4) for g in result.ku)
     assert [result.psi_scalar(q) for q in range(8)] == [-1, -1, 1, 1, -1, -1, 1, 1]
 
@@ -517,9 +520,33 @@ def test_ambiguous_complex_part_is_flagged():
     spec = KGraphSpec.from_lists(2, ["a", "b"], [m, m], [0, 1])
     page = compute_e2(spec)
     assert not page.group("complex", 2, 0).is_trivial
-    result = compute_ku_with_psi(page, differential_report(page))
+    # the factors are infinite, so assemble_diagonals refuses to fold them
+    # (the pipeline stops there); KU is handed their classification alone
+    with pytest.raises(InfiniteInput):
+        assemble_diagonals(page, differential_report(page), "complex")
+    cplx = []
+    for q in (0, 1):
+        factors = tuple((p, (q - p) % 2, page.group("complex", p, q - p)) for p in range(3))
+        nonzero = sum(1 for _, _, g in factors if not g.is_trivial)
+        cplx.append(DiagonalAssembly("complex", q, factors, "extension_ambiguous"
+                                     if nonzero > 1 else "determined", (), None))
+    result = compute_ku_with_psi(page, cplx)
     assert result.ambiguous
+    assert result.reason == "complex diagonal q=0 has 2 nonzero factors"
     assert result.ku is None
+
+
+def test_a_complex_differential_leaves_ku_ambiguous():
+    # scan input (4, 4, 3): d3 may map the complex cell (3, 0) onto (0, 2),
+    # so both complex diagonals carry d3 variants
+    page = compute_e2(random_valid_spec(random.Random(3), 4, 4))
+    report = differential_report(page)
+    assert [(e.r, e.source, e.target) for e in report.entries if e.part == "complex"] == \
+        [(3, (3, 0), (0, 0))]
+    cplx = assemble_diagonals(page, report, "complex")
+    assert [asm.status for asm in cplx] == ["d2_ambiguous"] * 2
+    assert compute_ku_with_psi(page, cplx) == KuPsiResult(
+        True, "possible nonzero differential in the complex part", None, None)
 
 
 def test_e2_groups_are_relabeling_invariant():
@@ -573,13 +600,13 @@ def test_larger_torsion_families():
     n = 7
     spec = symmetric_three_vertex_spec(n)
     page = compute_e2(spec)
-    result = compute_ku_with_psi(page, differential_report(page))
+    result = ku_psi(page)
     assert all(g == cyclic_group(2 * n) for g in result.ku)
     assert all(x == Z2 for x in compute_mu(result.ku, result.psi))
     spec = asymmetric_three_vertex_spec(n)
     page = compute_e2(spec)
     assert page.group("real", 0, 6).is_trivial      # odd n kills the q=6 row
-    result = compute_ku_with_psi(page, differential_report(page))
+    result = ku_psi(page)
     assert all(g == Z2 for g in result.ku)
 
 
