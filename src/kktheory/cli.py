@@ -18,7 +18,11 @@ Output is a human-readable text report or a machine-readable JSON document
 The JSON is written in one pass, one ``str.join`` per container, and is
 byte-identical to ``json.dumps(doc, indent=2)``: with any ``indent``,
 ``json.dumps`` leaves its C encoder for a generator per container and a call
-per value, the largest cost of an ``--emit-intermediate`` run.
+per value, the largest cost of an ``--emit-intermediate`` run.  There the
+document holds one entry per distinct complex, shared by the degrees that
+share the complex, and its "boundaries" value is the complex itself, which
+``_json_text`` writes from the rho blocks of ``koszul.boundary_blocks``: no
+boundary is laid out only to be printed.
 
 Exit codes: 0 success, 2 parse/validation error, 3 computation error,
 4 search bound exceeded.
@@ -29,10 +33,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from math import comb
 
 from .abelian import DEFAULT_EXTENSION_BOUND, BoundExceeded
 from .kgraph import KGraphError, KGraphSpec
+from .koszul import GradedChainComplex, boundary_blocks
 from .spectral import DEFAULT_CORE_BOUND, run_pipeline
 
 SCHEMA = "kkth/1"
@@ -129,7 +136,9 @@ def _assembly_json(asm):
 
 
 def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
-    """Run the pipeline once and return its JSON-ready result document."""
+    """Run the pipeline once and return its result document, JSON-ready
+    for ``_json_text``: with ``emit_intermediate`` each complex's
+    "boundaries" value is the complex."""
     result = run_pipeline(spec, config.ext_bound, config.core_bound)
     page, kupsi = result.page, result.kupsi
     partition = page.partition
@@ -185,14 +194,18 @@ def analyze(spec: KGraphSpec, config: JobConfig) -> dict:
         }
 
     if config.emit_intermediate:
-        inter = {}
-        for (part, j), cx in sorted(page.complexes.items()):
-            inter[f"{part}/{j}"] = {
-                "groups": [g.describe() for g in cx.groups],
-                "boundaries": [b.matrix.tolist() for b in cx.boundaries],
-                "snf_diagonals": [list(cx.diagonal(p)) for p in range(1, cx.k + 1)],
-            }
-        doc["intermediate"] = inter
+        # one entry per distinct complex, shared by the degrees that share it;
+        # its boundaries are the complex, which _json_text writes from its rho
+        entries = {}
+        for cx in page.complexes.values():
+            if cx not in entries:
+                entries[cx] = {
+                    "groups": [g.describe() for g in cx.groups],
+                    "boundaries": cx,
+                    "snf_diagonals": [list(cx.diagonal(p)) for p in range(1, cx.k + 1)],
+                }
+        doc["intermediate"] = {f"{part}/{j}": entries[cx]
+                               for (part, j), cx in sorted(page.complexes.items())}
 
     if config.emit_lifts:
         lifts = {}
@@ -214,8 +227,9 @@ def _json_text(value, indent="\n") -> str:
     """``json.dumps(value, indent=2)`` for dicts with str keys, lists, str,
     int, bool and None, where ``indent`` is the newline and indentation
     before ``value``.  A list of plain ints is joined in one call, with no
-    Python call per element.  Any other type, a tuple or float too, is a
-    TypeError."""
+    Python call per element.  A GradedChainComplex is written as the list
+    of its boundaries' rows (``_boundaries_text``).  Any other type, a tuple
+    or float too, is a TypeError."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -240,7 +254,50 @@ def _json_text(value, indent="\n") -> str:
         items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
                  for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is GradedChainComplex:
+        return _boundaries_text(value, indent)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _boundaries_text(cx, indent) -> str:
+    """``_json_text([b.matrix.tolist() for b in cx.boundaries], indent)``,
+    with no boundary laid out.  A row of d_p is C(k, p) blocks, each 0 or a
+    row of +-rho^c (``koszul.boundary_blocks``), so each row of +-rho^c is
+    rendered once per sign and the zero block once.  The whole text is one
+    join of these texts and the separators, with no row text built."""
+    k, n = cx.k, cx.aj.ambient_rank
+    if not k:
+        return "[]"
+    inner = indent + "  "
+    row_indent = inner + "  "
+    sep = "," + row_indent + "  "
+    row_format = sep.join(["%d"] * n)
+    texts = [([row_format % row for row in m.data],
+              [row_format % tuple([-x for x in row]) for row in m.data]) for m in cx.rhos]
+    # endless, so that zip stops at the n rows of a rho block
+    zeros, seps = repeat(row_format % ((0,) * n)), repeat(sep)
+    opening, closing = repeat("," + row_indent + "[" + row_indent + "  "), repeat(row_indent + "]")
+    pieces = ["["]
+    for p in range(1, k + 1):
+        pieces.append(inner if p == 1 else "," + inner)
+        if not n:
+            pieces.append("[]")
+            continue
+        pieces.append("[")
+        first = len(pieces)
+        for row_blocks in boundary_blocks(k, p):
+            # row r of the row block: opening, its C(k, p) blocks (the zero
+            # block or row r of +-rho^c) with seps between them, closing
+            line = [zeros] * comb(k, p)
+            for b, color, odd in row_blocks:
+                line[b] = texts[color - 1][odd]
+            columns = [opening] + [x for block in line for x in (block, seps)]
+            columns[-1] = closing
+            pieces += chain.from_iterable(zip(*columns))
+        pieces[first] = pieces[first][1:]  # the first row opens with no comma
+        pieces.append(inner + "]")
+    pieces.append(indent + "]")
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,14 @@ two/three/four column complexes; for larger k the same block formula is used.
 
 A complex is made from A_j and the k matrices of rho^c on it alone, and
 computes its annihilator g (below) when it is made; its groups, its
-boundaries and its homology cells are built on first read.  Column block
-mu of a boundary holds only |mu| nonzero blocks, laid out row by row into
-preallocated zero rows.
+boundaries and its homology cells are built on first read.  The block
+formula is kept once, in ``boundary_blocks``: row block lambda of d_p has a
+nonzero block only in the k - p + 1 column blocks lambda + {c}.  The dense
+``boundaries`` lays those out, row by row into preallocated zero rows, and
+``--emit-intermediate`` writes its text from them with nothing laid out; so
+a boundary is laid out only where something reads it: the first maps F_p
+of a complex that is not exact, a lift, or ``diagonal(p)`` of a non-free
+complex.
 
 ``build_complex`` certifies d o d = 0 with nothing laid out.  The block of
 d_{p-1} d_p from e_mu to e_{mu - {c, c'}} is +-[rho^c, rho^c'], every other
@@ -50,8 +55,9 @@ first map of the free complex F_p, [d_p | R] of ``abelian._diagonal_homology``
 with the homology of the cell, where R holds the relations of C_{p-1}.  F_0 =
 [rho^1 | ... | rho^k | relations of A_j] is laid out from the rho rows with no
 boundary.  If g = 1, or the diagonal of F_0 is all 1s, H_0 = 0 and every cell
-is 0: no other F_p is read, and the boundaries are laid out only if a lift is
-read.  Otherwise, with n the coordinates of A_j and t the torsion ones:
+is 0: no other F_p is read, and the boundaries are laid out only if a lift,
+or ``diagonal(p)`` of a non-free complex, reads them.  Otherwise, with n the
+coordinates of A_j and t the torsion ones:
 
     the torsion of H_p is the entries >= 2 of diag F_p, and its free rank is
     n C(k, p) - rank F_p - (rank F_{p-1} - t C(k, p-1)), the bracket 0 at p = 0.
@@ -129,19 +135,18 @@ class GradedChainComplex:
     @cached_property
     def boundaries(self) -> tuple:
         n = self.aj.ambient_rank
-        # the rows of (-1)^i rho^c for even and for odd i
+        # the rows of (-1)^odd rho^c for odd = 0 and 1
         signed = [(m.data, [[-x for x in row] for row in m.data]) for m in self.rhos]
         out = []
         for p in range(1, self.k + 1):
-            position = {lam: a for a, lam in enumerate(index_tuples(self.k, p - 1))}
-            upper = index_tuples(self.k, p)
-            rows = [[0] * (n * len(upper)) for _ in range(n * len(position))]
-            for b, mu in enumerate(upper):
-                for i, color in enumerate(mu):
-                    a = position[mu[:i] + mu[i + 1:]]
-                    for r, row in enumerate(signed[color - 1][i % 2]):
+            blocks = boundary_blocks(self.k, p)
+            cols = n * comb(self.k, p)
+            rows = [[0] * cols for _ in range(n * len(blocks))]
+            for a, row_blocks in enumerate(blocks):
+                for b, color, odd in row_blocks:
+                    for r, row in enumerate(signed[color - 1][odd]):
                         rows[a * n + r][b * n:(b + 1) * n] = row
-            mat = IntMatrix(len(rows), n * len(upper), rows)
+            mat = IntMatrix(len(rows), cols, rows)
             out.append(GroupHom(self.groups[p], self.groups[p - 1], mat))
         return tuple(out)
 
@@ -228,6 +233,21 @@ class GradedChainComplex:
         if p == self.k + 1:
             return zero_hom(trivial_group(), self.groups[self.k])
         raise ValueError(f"no boundary at position {p}")
+
+
+def boundary_blocks(k: int, p: int) -> list:
+    """The block formula of d_p, the one description that the dense
+    ``boundaries`` and the JSON writer both read.  Entry a is row block a,
+    the a-th (p-1)-tuple lambda of ``index_tuples``; it lists (b, color,
+    odd) over the colors not in lambda, b ascending: column block b is the
+    p-tuple mu = lambda + {color}, color = mu_i (i from 0), and the block
+    is (-1)^i rho^color, odd = i % 2.  Every other block is 0."""
+    position = {lam: a for a, lam in enumerate(index_tuples(k, p - 1))}
+    out = [[] for _ in position]
+    for b, mu in enumerate(index_tuples(k, p)):
+        for i, color in enumerate(mu):
+            out[position[mu[:i] + mu[i + 1:]]].append((b, color, i % 2))
+    return out
 
 
 def build_complex(aj: FgAbGroup, rhos: tuple) -> GradedChainComplex:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -342,6 +343,17 @@ def test_seven_colour_sample_matches_its_golden_report():
     assert out == (here / "data" / "random_k7_v6_s0.txt").read_text(encoding="utf-8")
 
 
+def test_seven_colour_emit_document_matches_its_golden_digest():
+    # the 6 MB emit document of the same input, every boundary, Smith diagonal
+    # and lift of seven colours, against the SHA-256 of its bytes
+    here = pathlib.Path(__file__).parent
+    code, out, err = run_cli(["compute", str(here.parent / "sample_inputs" / "random_k7_v6_s0.json"),
+                              "--format", "json", "--emit-intermediate", "--emit-lifts"])
+    assert (code, err) == (0, "")
+    digest = (here / "data" / "random_k7_v6_s0.emit.sha256").read_text(encoding="utf-8").strip()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_eight_colour_sample_matches_its_golden_report():
     # random_valid_spec(random.Random(0), 8, 6), the scale guard for H_0
     # first: each of its four complexes with annihilator g >= 2 has H_0 = 0,
@@ -396,6 +408,37 @@ def test_a_text_run_lays_out_no_boundary_where_h0_is_0(tmp_path, monkeypatch, k,
     assert short == keys
     assert all(pages[0].complexes[key].exact and "boundaries" not in vars(pages[0].complexes[key])
                for key in short)
+
+
+@pytest.mark.parametrize("k, nv, seed, non_free", [(4, 6, 12, 0), (7, 6, 0, 2)])
+def test_an_emit_run_lays_out_only_the_boundaries_it_reads(
+        tmp_path, monkeypatch, k, nv, seed, non_free):
+    # benchmark input (4, 6, 12) and the ladder input (7, 6) in emit mode: a
+    # free exact complex is written from its rho blocks, with no boundary
+    # laid out, while each of the non_free complexes lays out (and so
+    # certifies) the boundaries whose Smith diagonals it prints; degrees that
+    # share a complex share its entry
+    pages, e2 = [], spectral.compute_e2
+
+    def keep_page(spec):
+        pages.append(e2(spec))
+        return pages[-1]
+
+    monkeypatch.setattr(spectral, "compute_e2", keep_page)
+    path = write_input(tmp_path, "in.json", spec_doc(random_valid_spec(random.Random(seed), k, nv)))
+    config = JobConfig(input_path=path, output_format="json", emit_intermediate=True, emit_lifts=True)
+    assert run(config, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    complexes = set(pages[0].complexes.values())
+    free_exact = {cx for cx in complexes if cx.is_free and cx.exact}
+    torsion = {cx for cx in complexes if not cx.is_free}
+    assert free_exact and len(torsion) == non_free
+    assert not any("boundaries" in vars(cx) for cx in free_exact)
+    assert all("boundaries" in vars(cx) for cx in torsion)
+    inter = analyze(load_spec(path), config)["intermediate"]
+    page = pages[-1]
+    for a, b in itertools.combinations(sorted(page.complexes), 2):
+        assert (inter[f"{a[0]}/{a[1]}"] is inter[f"{b[0]}/{b[1]}"]) == \
+            (page.complexes[a] is page.complexes[b])
 
 
 def test_ten_colour_sample_matches_its_golden_report(monkeypatch):
