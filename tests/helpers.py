@@ -32,9 +32,15 @@ Matrix, group and hom constructors that no calculator code needs
 """
 
 from dataclasses import dataclass
+import hashlib
+import io
 from itertools import product as cartesian
+import json
 from math import gcd
+import os
+import pathlib
 import random
+import tempfile
 
 from kktheory.abelian import (
     FgAbGroup,
@@ -49,6 +55,7 @@ from kktheory.abelian import (
     _combine,
     _vanishes_in,
 )
+from kktheory.cli import JobConfig, run
 from kktheory.crmodule import RhoMap, build_graded_group, build_rho
 from kktheory.kgraph import KGraphSpec, VertexPartition, validate
 from kktheory.koszul import GradedChainComplex, build_complex, index_tuples
@@ -1057,3 +1064,59 @@ def verify_square_zero(cx) -> SquareZeroReport:
         composite = compose(cx.boundary(p), cx.boundary(p + 1))
         checks.append(SquareZeroCheck(position=p, passed=hom_is_zero(composite)))
     return SquareZeroReport(tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# The standing digest table: one line per run of the calculator
+# ---------------------------------------------------------------------------
+
+STANDING_TABLE = pathlib.Path(__file__).parent / "data" / "standing_runs.sha256"
+STANDING_MODES = {"text": {},
+                  "emit": {"output_format": "json", "emit_intermediate": True, "emit_lifts": True}}
+LADDER = ((7, 6), (6, 10), (8, 6), (9, 4), (10, 4), (10, 6), (12, 4), (14, 6),
+          (4, 12), (6, 12), (8, 8))
+
+
+def standing_inputs():
+    """(name, spec, modes) for every input of the standing table: the scan
+    (k in 2..4, 4..6 vertices, seeds 0..11), one-vertex 2 <= m, n <= 8 and
+    the two three-vertex families for n = 2..7 in text and emit mode, and
+    the ladder ``random_valid_spec(random.Random(0), k, nv)`` in text."""
+    both = ("text", "emit")
+    return ([(f"scan_{k}_{nv}_{seed}", random_valid_spec(random.Random(seed), k, nv), both)
+             for k, nv, seed in cartesian((2, 3, 4), (4, 5, 6), range(12))]
+            + [(f"one_vertex_{m}_{n}", one_vertex_spec(m, n), both)
+               for m, n in cartesian(range(2, 9), repeat=2)]
+            + [(f"{family}_{n}", make(n), both)
+               for family, make in (("symmetric", symmetric_three_vertex_spec),
+                                    ("asymmetric", asymmetric_three_vertex_spec))
+               for n in range(2, 8)]
+            + [(f"ladder_{k}_{nv}", random_valid_spec(random.Random(0), k, nv), ("text",))
+               for k, nv in LADDER])
+
+
+def standing_table() -> list:
+    """The lines "name mode exit-code sha256(stdout) sha256(stderr)" of
+    ``cli.run`` on every standing input, each read from an input file."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, spec, modes in standing_inputs():
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump({"k": spec.k, "vertices": list(spec.vertices),
+                           "involution": list(spec.involution),
+                           "matrices": [m.tolist() for m in spec.matrices]}, f)
+            for mode in modes:
+                out, err = io.StringIO(), io.StringIO()
+                code = run(JobConfig(input_path=path, **STANDING_MODES[mode]), stdout=out, stderr=err)
+                digests = (hashlib.sha256(s.getvalue().encode("utf-8")).hexdigest() for s in (out, err))
+                lines.append(" ".join((name, mode, str(code), *digests)))
+    return lines
+
+
+def write_standing_table(path=STANDING_TABLE):
+    """Regenerate the table, from the root of the repository:
+
+        PYTHONPATH=src:tests python -c "import helpers; helpers.write_standing_table()"
+    """
+    pathlib.Path(path).write_text("\n".join(standing_table()) + "\n", encoding="utf-8")

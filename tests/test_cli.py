@@ -17,7 +17,8 @@ from kktheory.cli import (JobConfig, ParseError, _json_text, analyze, load_spec,
                           render_text, run)
 from kktheory.spectral import compute_e2
 
-from helpers import group_of, random_valid_spec, symmetric_three_vertex_spec
+from helpers import (STANDING_TABLE, group_of, random_valid_spec, standing_table,
+                     symmetric_three_vertex_spec)
 
 
 def write_input(tmp_path, name, doc):
@@ -352,6 +353,21 @@ def test_seven_colour_emit_document_matches_its_golden_digest():
     assert (code, err) == (0, "")
     digest = (here / "data" / "random_k7_v6_s0.emit.sha256").read_text(encoding="utf-8").strip()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_standing_runs_match_their_digest_table():
+    # the scan, the one-vertex and three-vertex families and the ladder, each
+    # run's exit code and the digests of its stdout and stderr; a change of
+    # output regenerates the table (helpers.write_standing_table)
+    def by_run(lines):
+        return {tuple(line.split()[:2]): line for line in lines}
+
+    expected = by_run(STANDING_TABLE.read_text(encoding="utf-8").splitlines())
+    actual = by_run(standing_table())
+    differ = sorted(" ".join(key) for key in expected.keys() | actual.keys()
+                    if expected.get(key) != actual.get(key))
+    assert not differ, f"{len(differ)} runs differ: {differ}"
+    assert len(actual) == 349
 
 
 def test_eight_colour_sample_matches_its_golden_report():
