@@ -29,8 +29,10 @@ ever touches floating point, so results are exact at any size.  The pieces:
   in canonical form together with ambient lifts of its generators, so that
   maps induced on homology can be computed afterwards (``induced_hom``).
   Every group is read from bounded Smith diagonals of a complex of free
-  modules with the same homology, whose first map is ``_first_map``; a
-  cell's kernel lattice and lifts are built only when asked for.
+  modules with the same homology.  Its first map (``_first_map``, which
+  ``koszul`` reads for every F_p too) is [A | R_M] over one row
+  -(B_i [A | R_M]) / nu_i per torsion row of the target; a cell's kernel
+  lattice and lifts are built only when asked for.
 * ``extension_candidates`` -- the isomorphism classes of finite abelian groups
   with given filtration factors, and ``injection_cokernels`` -- the cokernels
   of injections, both read prime by prime by the Hall / Littlewood-Richardson
@@ -838,27 +840,22 @@ def _lattice_homology(boundary_in: IntMatrix, middle: FgAbGroup, d_out: GroupHom
     return group, _LatticeData(lattice, lattice_snf, lift, s.u, diag, tuple(kept))
 
 
-def _first_map(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix | None = None) -> IntMatrix:
-    """The first map of the free complex that ``_diagonal_homology`` reads,
-    d_in's matrix when M and N are free.  ``composite``, the matrix of
-    d_out d_in, is formed and checked (``_composite``) when None and read,
-    that is when N has a torsion coordinate."""
-    mu, nu = d_in.target.moduli, d_out.target.moduli
-    if not any(mu) and not any(nu):
-        return d_in.matrix
-    if composite is None and any(nu):
-        composite = _composite(d_in, d_out)
-    b = d_out.matrix.data
-    kept = [j for j, m in enumerate(mu) if m]
-    rows = list(IntMatrix.hstack(d_in.matrix, d_in.target.relations).data)
-    rows += [[-x // nu[i] for x in composite.data[i]] + [-b[i][j] * mu[j] // nu[i] for j in kept]
-             for i in range(len(nu)) if nu[i]]
-    return IntMatrix(len(rows), d_in.matrix.cols + len(kept), rows)
+def _first_map(top: IntMatrix, rows, moduli) -> IntMatrix:
+    """The first map of ``_diagonal_homology``: ``top`` = [A | R_M] over one
+    row -(B_i [A | R_M]) / nu_i per row B_i in ``rows``, nu_i in ``moduli``,
+    and ``top`` itself when there are none.  CompositionNotZero on an
+    inexact division."""
+    if not rows:
+        return top
+    below = (IntMatrix(len(rows), top.rows, rows) @ top).data
+    if any(x % nu for row, nu in zip(below, moduli) for x in row):
+        raise CompositionNotZero("boundary maps do not compose to zero")
+    return IntMatrix(top.rows + len(rows), top.cols,
+                     top.data + tuple([-x // nu for x in row] for row, nu in zip(below, moduli)))
 
 
-def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix) -> FgAbGroup:
-    """The homology group of S -A-> M -B-> N from bounded Smith diagonals;
-    ``composite`` is the matrix of B A.
+def _diagonal_homology(d_in: GroupHom, d_out: GroupHom) -> FgAbGroup:
+    """The homology group of S -A-> M -B-> N from bounded Smith diagonals.
 
     With M = Z^n / diag(mu), N = Z^m / diag(nu), their relation columns R_M
     and R_N, and T the coordinates with nu_i != 0, the cell has the homology
@@ -869,27 +866,20 @@ def _diagonal_homology(d_in: GroupHom, d_out: GroupHom, composite: IntMatrix) ->
     whose divisions are exact since B A and B R_M vanish in N.  Projecting
     ker [B | R_N] to its first n coordinates is injective (the columns of R_N
     are independent), with image the kernel lattice {x : Bx in span R_N};
-    the first map covers im A + im R_M.  A kernel of free modules is
-    saturated, so the torsion is the Smith diagonal of the first map and the
-    free rank is n + |T| - rk [B | R_N] - rk(first map), where
+    the first map (``_first_map``) covers im A + im R_M.  A kernel of free
+    modules is saturated, so the torsion is the Smith diagonal of the first
+    map and the free rank is n + |T| - rk [B | R_N] - rk(first map), where
     rk [B | R_N] = |T| + rk(rows of B outside T).  There is one path: when M
     and N are free the first map is A and every row of B is outside T.
     """
-    diag_in = smith_diagonal(_first_map(d_in, d_out, composite))
+    b, nu = d_out.matrix.data, d_out.target.moduli
+    diag_in = smith_diagonal(_first_map(IntMatrix.hstack(d_in.matrix, d_in.target.relations),
+                                        [row for row, m in zip(b, nu) if m], [m for m in nu if m]))
     n = d_in.target.ambient_rank
-    outside = [row for row, m in zip(d_out.matrix.data, d_out.target.moduli) if not m]
+    outside = [row for row, m in zip(b, nu) if not m]
     rank_out = _rank_and_minor(IntMatrix(len(outside), n, outside))[0]
     rank = n - rank_out - sum(1 for e in diag_in if e)
     return FgAbGroup.from_invariants([e for e in diag_in if e >= 2], rank)
-
-
-def _composite(d_in: GroupHom, d_out: GroupHom) -> IntMatrix:
-    """The matrix of d_out d_in; CompositionNotZero unless it vanishes as a
-    map of presented groups."""
-    composite = d_out.matrix @ d_in.matrix
-    if not _vanishes_in(d_out.target, composite.data):
-        raise CompositionNotZero("boundary maps do not compose to zero")
-    return composite
 
 
 def homology(d_in: GroupHom, d_out: GroupHom) -> HomologyResult:
@@ -902,7 +892,9 @@ def homology(d_in: GroupHom, d_out: GroupHom) -> HomologyResult:
     """
     if not same_presentation(d_in.target, d_out.source):
         raise ValueError("middle groups of the two boundary maps differ")
-    group = _diagonal_homology(d_in, d_out, _composite(d_in, d_out))
+    if not _vanishes_in(d_out.target, (d_out.matrix @ d_in.matrix).data):
+        raise CompositionNotZero("boundary maps do not compose to zero")
+    group = _diagonal_homology(d_in, d_out)
     return HomologyResult(group, lambda: (d_in, d_out))
 
 

@@ -10,12 +10,12 @@ A complex is made from A_j and the k matrices of rho^c on it alone, and
 computes its annihilator g (below) when it is made; its groups, its
 boundaries and its homology cells are built on first read.  The block
 formula is kept once, in ``boundary_blocks``: row block lambda of d_p has a
-nonzero block only in the k - p + 1 column blocks lambda + {c}.  The dense
-``boundaries`` lays those out, row by row into preallocated zero rows, and
-``--emit-intermediate`` writes its text from them with nothing laid out; so
-a boundary is laid out only where something reads it: the first maps F_p
-of a complex that is not exact, a lift, or ``diagonal(p)`` of a non-free
-complex.
+nonzero block only in the k - p + 1 column blocks lambda + {c}.  One method,
+``_layout``, lays d_p out from it, row by row into preallocated zero rows,
+with or without the relation columns of C_{p-1}: the dense ``boundaries``
+and every first map F_p read it, and ``--emit-intermediate`` writes its text
+from the blocks with nothing laid out.  So ``boundaries`` is built only where
+something reads it: a lift, or ``diagonal(p)`` of a non-free complex.
 
 ``build_complex`` certifies d o d = 0 with nothing laid out.  The block of
 d_{p-1} d_p from e_mu to e_{mu - {c, c'}} is +-[rho^c, rho^c'], every other
@@ -49,14 +49,15 @@ which kills every group C_p = A_j^C(k, p).  So 1 = a + (1 - a) kills every
 cell.
 
 Every cell is read by one rule (``GradedChainComplex.cells``), H_0 first,
-off the Smith diagonals of the first maps F_0, ..., F_k.  F_p
-(``abelian._first_map``) is d_{p+1} augmented at the torsion coordinates, the
-first map of the free complex F_p, [d_p | R] of ``abelian._diagonal_homology``
-with the homology of the cell, where R holds the relations of C_{p-1}.  F_0 =
-[rho^1 | ... | rho^k | relations of A_j] is laid out from the rho rows with no
-boundary.  If g = 1, or the diagonal of F_0 is all 1s, H_0 = 0 and every cell
-is 0: no other F_p is read, and the boundaries are laid out only if a lift,
-or ``diagonal(p)`` of a non-free complex, reads them.  Otherwise, with n the
+off the Smith diagonals of the first maps F_0, ..., F_k.  F_p is the first
+map of ``abelian._diagonal_homology`` for the cell: with R_p the relation
+columns of C_p, it is [d_{p+1} | R_p] over one row -(d_p)_i [d_{p+1} | R_p] /
+nu_i per torsion coordinate i of C_{p-1}, nu_i its modulus
+(``abelian._first_map``).  Each division is exact: (d_p)_i d_{p+1} vanishes
+modulo nu_i as ``build_complex`` certified d o d = 0, and (d_p)_i R_p as each
+rho^c is a certified ``GroupHom``.  d_0 has no rows, so F_0 = [rho^1 | ... |
+rho^k | relations of A_j].  If g = 1, or the diagonal of F_0 is all 1s,
+H_0 = 0 and every cell is 0: no other F_p is read.  Otherwise, with n the
 coordinates of A_j and t the torsion ones:
 
     the torsion of H_p is the entries >= 2 of diag F_p, and its free rank is
@@ -64,16 +65,17 @@ coordinates of A_j and t the torsion ones:
 
 A kernel is saturated, so the torsion is read off F_p, and the free rank is
 n C(k, p) - rank F_p - rk(free rows of d_p).  The bracket is that rank: the
-relation columns of C_{p-1} cover its t C(k, p-1) torsion rows, so
-rk [d_p | R] = t C(k, p-1) + rk(free rows of d_p), and the rows of F_{p-1}
-below [d_p | R] are rational combinations of them, so rank F_{p-1} =
-rk [d_p | R].  The diagonal of F_p is read over Z (``abelian.smith_diagonal``)
-when g = 0, and modulo g with its rank known when g != 0.  With g != 0,
-H_p is finite, and the nonzero invariant factors of F_p are 1s and those of H_p,
-which divide g.  A row of rho^c at a free coordinate is 0 on torsion columns,
-so R^c is block triangular, its free block S^c has det S^c | det R^c, and the
-free rows of d_p form the Koszul complex of the S^c on Z^(n-t), exact over Q
-as g != 0.  So rk [d_p | R] = t C(k, p-1) + (n - t) C(k-1, p-1), and rank
+relation columns R_{p-1} cover the t C(k, p-1) torsion rows of C_{p-1}, so
+rk [d_p | R_{p-1}] = t C(k, p-1) + rk(free rows of d_p), and the rows of
+F_{p-1} below [d_p | R_{p-1}] are rational combinations of them, so
+rank F_{p-1} = rk [d_p | R_{p-1}].  The diagonal of F_p is read over Z
+(``abelian.smith_diagonal``) when g = 0, and modulo g with its rank known
+when g != 0.  With g != 0, H_p is finite, and the nonzero invariant factors
+of F_p are 1s and those of H_p, which divide g.  A row of rho^c at a free
+coordinate is 0 on torsion columns, so R^c is block triangular, its free
+block S^c has det S^c | det R^c, and the free rows of d_p form the Koszul
+complex of the S^c on Z^(n-t), exact over Q as g != 0.  So
+rk [d_p | R_{p-1}] = t C(k, p-1) + (n - t) C(k-1, p-1), and rank
 F_p = n C(k, p) - (n - t) C(k-1, p-1) = t C(k, p) + (n - t) C(k-1, p): the
 cell is ``abelian.annihilated_smith_diagonal(F_p, rank F_p, g)``, with no
 minor, and the free rank is 0.  For a free A_j, F_p is d_{p+1}, and these are
@@ -85,7 +87,7 @@ coker d_{p+1} = im d_p is free, so its diagonal is read off the rank.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, cycle
 from math import comb, gcd, lcm
 
 from .abelian import (CompositionNotZero, FgAbGroup, GroupHom, HomologyResult, IntMatrix,
@@ -134,21 +136,27 @@ class GradedChainComplex:
 
     @cached_property
     def boundaries(self) -> tuple:
-        n = self.aj.ambient_rank
+        return tuple(GroupHom(self.groups[p], self.groups[p - 1], self._layout(p, False))
+                     for p in range(1, self.k + 1))
+
+    def _layout(self, p: int, relations: bool) -> IntMatrix:
+        """d_p laid out from ``boundary_blocks``, row by row into preallocated
+        zero rows, and with ``relations`` followed by the relation columns
+        of C_{p-1}; d_0 has no rows and d_{k+1} no columns."""
+        n, moduli = self.aj.ambient_rank, self.aj.moduli
+        torsion = [r for r, m in enumerate(moduli) if m] if relations else []
+        blocks, cols = boundary_blocks(self.k, p), n * comb(self.k, p)
         # the rows of (-1)^odd rho^c for odd = 0 and 1
         signed = [(m.data, [[-x for x in row] for row in m.data]) for m in self.rhos]
-        out = []
-        for p in range(1, self.k + 1):
-            blocks = boundary_blocks(self.k, p)
-            cols = n * comb(self.k, p)
-            rows = [[0] * cols for _ in range(n * len(blocks))]
-            for a, row_blocks in enumerate(blocks):
-                for b, color, odd in row_blocks:
-                    for r, row in enumerate(signed[color - 1][odd]):
-                        rows[a * n + r][b * n:(b + 1) * n] = row
-            mat = IntMatrix(len(rows), cols, rows)
-            out.append(GroupHom(self.groups[p], self.groups[p - 1], mat))
-        return tuple(out)
+        width = cols + len(torsion) * len(blocks)
+        rows = [[0] * width for _ in range(n * len(blocks))]
+        for a, row_blocks in enumerate(blocks):
+            for b, color, odd in row_blocks:
+                for r, row in enumerate(signed[color - 1][odd]):
+                    rows[a * n + r][b * n:(b + 1) * n] = row
+            for i, r in enumerate(torsion):
+                rows[a * n + r][cols + a * len(torsion) + i] = moduli[r]
+        return IntMatrix(len(rows), width, rows)
 
     @cached_property
     def cells(self) -> tuple:
@@ -176,19 +184,10 @@ class GradedChainComplex:
         docstring), read off F_0's diagonal."""
         return self.annihilator == 1 or all(e == 1 for e in self._f0_diagonal)
 
-    def _f0(self) -> IntMatrix:
-        """F_0 = [rho^1 | ... | rho^k | relations of A_j], laid out from the
-        rho rows with no boundary: ``_first_map(boundary(1), boundary(0))``."""
-        moduli = self.aj.moduli
-        torsion = [i for i, m in enumerate(moduli) if m]
-        rows = [[x for rho in self.rhos for x in rho.data[r]] + [m * (i == r) for i in torsion]
-                for r, m in enumerate(moduli)]
-        return IntMatrix(len(rows), len(rows) * self.k + len(torsion), rows)
-
     @cached_property
     def _f0_diagonal(self) -> tuple:
         """The Smith diagonal of F_0."""
-        return self._smith_diagonal(self._f0(), 0)
+        return self._first_diagonal(0)
 
     @cached_property
     def _first_diagonals(self) -> tuple:
@@ -196,16 +195,22 @@ class GradedChainComplex:
         alone, up to the rank, with no F_p laid out (module docstring)."""
         if self.exact:
             return tuple((1,) * self._rank(p) for p in range(self.k + 1))
-        return (self._f0_diagonal,) + tuple(
-            self._smith_diagonal(_first_map(self.boundary(p + 1), self.boundary(p)), p)
-            for p in range(1, self.k + 1))
+        return (self._f0_diagonal,) + tuple(self._first_diagonal(p) for p in range(1, self.k + 1))
 
-    def _smith_diagonal(self, first: IntMatrix, p: int) -> tuple:
-        """The Smith diagonal of F_p = ``first``: over Z when g = 0, else
-        modulo g with the rank of the module docstring."""
+    def _first(self, p: int) -> IntMatrix:
+        """F_p: d_{p+1} with the relation columns of C_p, over one row per
+        torsion row of d_p (``abelian._first_map``, module docstring)."""
+        moduli = self.aj.moduli
+        rows = self._layout(p, False).data if any(moduli) else ()
+        torsion = [(row, m) for row, m in zip(rows, cycle(moduli)) if m]
+        return _first_map(self._layout(p + 1, True), [row for row, _ in torsion], [m for _, m in torsion])
+
+    def _first_diagonal(self, p: int) -> tuple:
+        """The Smith diagonal of F_p: over Z when g = 0, else modulo g with
+        the rank of the module docstring."""
         if not self.annihilator:
-            return smith_diagonal(first)
-        return annihilated_smith_diagonal(first, self._rank(p), self.annihilator)
+            return smith_diagonal(self._first(p))
+        return annihilated_smith_diagonal(self._first(p), self._rank(p), self.annihilator)
 
     def _rank(self, p: int) -> int:
         """rank F_p = t C(k, p) + (n - t) C(k-1, p), when g != 0 or the
@@ -236,12 +241,12 @@ class GradedChainComplex:
 
 
 def boundary_blocks(k: int, p: int) -> list:
-    """The block formula of d_p, the one description that the dense
-    ``boundaries`` and the JSON writer both read.  Entry a is row block a,
-    the a-th (p-1)-tuple lambda of ``index_tuples``; it lists (b, color,
-    odd) over the colors not in lambda, b ascending: column block b is the
-    p-tuple mu = lambda + {color}, color = mu_i (i from 0), and the block
-    is (-1)^i rho^color, odd = i % 2.  Every other block is 0."""
+    """The block formula of d_p, the one description that ``_layout`` and
+    the JSON writer both read.  Entry a is row block a, the a-th
+    (p-1)-tuple lambda of ``index_tuples``; it lists (b, color, odd) over
+    the colors not in lambda, b ascending: column block b is the p-tuple
+    mu = lambda + {color}, color = mu_i (i from 0), and the block is
+    (-1)^i rho^color, odd = i % 2.  Every other block is 0."""
     position = {lam: a for a, lam in enumerate(index_tuples(k, p - 1))}
     out = [[] for _ in position]
     for b, mu in enumerate(index_tuples(k, p)):

@@ -43,6 +43,7 @@ import random
 import tempfile
 
 from kktheory.abelian import (
+    CompositionNotZero,
     FgAbGroup,
     GroupHom,
     IntMatrix,
@@ -268,6 +269,34 @@ def dense_koszul_boundaries(spec: KGraphSpec, degree: int, part: str) -> list:
 # ---------------------------------------------------------------------------
 # Random valid k-graph specs
 # ---------------------------------------------------------------------------
+
+def dense_first_map(d_in: GroupHom, d_out: GroupHom) -> IntMatrix:
+    """The first map of the free complex that ``abelian._diagonal_homology``
+    reads, laid out from the dense boundaries: d_in's matrix when M and N are
+    free.  The composite d_out d_in is formed, and checked, when N has a
+    torsion coordinate."""
+    mu, nu = d_in.target.moduli, d_out.target.moduli
+    if not any(mu) and not any(nu):
+        return d_in.matrix
+    composite = None
+    if any(nu):
+        composite = d_out.matrix @ d_in.matrix
+        if not _vanishes_in(d_out.target, composite.data):
+            raise CompositionNotZero("boundary maps do not compose to zero")
+    b = d_out.matrix.data
+    kept = [j for j, m in enumerate(mu) if m]
+    rows = list(IntMatrix.hstack(d_in.matrix, d_in.target.relations).data)
+    rows += [[-x // nu[i] for x in composite.data[i]] + [-b[i][j] * mu[j] // nu[i] for j in kept]
+             for i in range(len(nu)) if nu[i]]
+    return IntMatrix(len(rows), d_in.matrix.cols + len(kept), rows)
+
+
+def spec_doc(spec: KGraphSpec) -> dict:
+    """The input document of ``spec``, as ``cli.load_spec`` reads it."""
+    return {"k": spec.k, "vertices": list(spec.vertices),
+            "involution": list(spec.involution),
+            "matrices": [m.tolist() for m in spec.matrices]}
+
 
 def random_involution(rng, nv):
     idx = list(range(nv))
@@ -1103,9 +1132,7 @@ def standing_table() -> list:
         for name, spec, modes in standing_inputs():
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as f:
-                json.dump({"k": spec.k, "vertices": list(spec.vertices),
-                           "involution": list(spec.involution),
-                           "matrices": [m.tolist() for m in spec.matrices]}, f)
+                json.dump(spec_doc(spec), f)
             for mode in modes:
                 out, err = io.StringIO(), io.StringIO()
                 code = run(JobConfig(input_path=path, **STANDING_MODES[mode]), stdout=out, stderr=err)

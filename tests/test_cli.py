@@ -17,7 +17,7 @@ from kktheory.cli import (JobConfig, ParseError, _json_text, analyze, load_spec,
                           render_text, run)
 from kktheory.spectral import compute_e2
 
-from helpers import (STANDING_TABLE, group_of, random_valid_spec, standing_table,
+from helpers import (STANDING_TABLE, group_of, random_valid_spec, spec_doc, standing_table,
                      symmetric_three_vertex_spec)
 
 
@@ -487,12 +487,6 @@ def test_render_text_matches_analyze(tmp_path):
     assert "solution 2:" in text
     code = run(JobConfig(input_path=path), stdout=io.StringIO(), stderr=io.StringIO())
     assert code == 0
-
-
-def spec_doc(spec):
-    return {"k": spec.k, "vertices": list(spec.vertices),
-            "involution": list(spec.involution),
-            "matrices": [m.tolist() for m in spec.matrices]}
 
 
 def random_doc(k, nv, seed):

@@ -1,24 +1,26 @@
 import functools
+import io
+import json
 import random
 from itertools import product as cartesian
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
-from kktheory import abelian, koszul
+from kktheory import abelian, koszul, spectral
 from kktheory.abelian import (
     CompositionNotZero,
     FgAbGroup,
     GroupHom,
     IntMatrix,
     _diagonal_mod,
-    _first_map,
     _peel_units,
     annihilated_smith_diagonal,
     free_group,
     homology,
     smith_diagonal,
 )
+from kktheory.cli import JobConfig, run
 from kktheory.kgraph import KGraphSpec, validate
 from kktheory.crmodule import build_graded_group
 from kktheory.koszul import GradedChainComplex, build_complex, index_tuples
@@ -28,11 +30,13 @@ from helpers import (
     LaidOutComplex,
     asymmetric_three_vertex_spec,
     complex_of,
+    dense_first_map,
     dense_koszul_boundaries,
     from_rows,
     one_vertex_spec,
     random_valid_spec,
     rho_of,
+    spec_doc,
     symmetric_three_vertex_spec,
     transpose,
     verify_square_zero,
@@ -426,10 +430,16 @@ def test_counts_of_short_circuited_complexes_with_g_at_least_2():
                       "ladder 7,6": (4, 4), "ladder 8,6": (4, 4)}
 
 
-def test_f0_laid_out_from_the_rho_rows_is_the_first_map_of_cell_0():
+def test_first_maps_laid_out_from_the_rho_blocks_are_the_dense_first_maps():
+    # F_0 .. F_k of every distinct complex of the scan, the families and the
+    # lattice inputs, against the first maps laid out from dense boundaries
+    kinds = set()
     for key, cx, _, _ in annihilator_complexes():
         fresh = fresh_complex(cx)
-        assert fresh._f0() == _first_map(fresh.boundary(1), fresh.boundary(0)), key
+        for p in range(fresh.k + 1):
+            assert fresh._first(p) == dense_first_map(fresh.boundary(p + 1), fresh.boundary(p)), (key, p)
+        kinds.add("free" if cx.is_free else "mixed" if 0 in cx.aj.moduli else "torsion")
+    assert kinds == {"free", "mixed", "torsion"}
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -438,7 +448,7 @@ def test_h0_is_0_where_unit_pivots_alone_do_not_show_it(k):
     # the unit pivots of F_0 leave two rows with no unit entry, so only the
     # Smith loop finds that every invariant factor of F_0 is 1
     cx = complex_of(random_valid_spec(random.Random(3), k, 5), 0, "complex")
-    units, rest = _peel_units([[x % 6 for x in row] for row in cx._f0().data], 6)
+    units, rest = _peel_units([[x % 6 for x in row] for row in cx._first(0).data], 6)
     assert (cx.annihilator, cx.is_free, units, len(rest)) == (6, True, 3, 2)
     assert not any(gcd(x, 6) == 1 for row in rest for x in row)
     assert cx.exact and all(h.group.is_trivial for h in cx.cells)
@@ -461,7 +471,7 @@ def test_a_g_at_least_2_complex_reads_f0_once(monkeypatch):
             continue
         fresh, calls[:] = fresh_complex(cx), []
         assert [h.group for h in fresh.cells] == reference, key
-        f0 = fresh._f0()
+        f0 = fresh._first(0)
         if fresh.exact:
             assert calls == [f0] and "boundaries" not in vars(fresh), key
         else:
@@ -471,6 +481,42 @@ def test_a_g_at_least_2_complex_reads_f0_once(monkeypatch):
                 assert len(calls) == fresh.k + 1, key
         kinds.add((fresh.exact, fresh.is_free))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("source", ["lattice", "families"])
+def test_a_text_run_lays_out_boundaries_only_for_lifts(tmp_path, monkeypatch, source):
+    # a text run reads every cell off F_0 .. F_k laid out from the rho blocks:
+    # a complex holds its dense boundaries only where psi read a cell's lift,
+    # and F_p multiplies the t C(k, p - 1) torsion rows of d_p alone
+    pages, e2, first_map, multiplied = [], spectral.compute_e2, koszul._first_map, []
+
+    def keep_page(spec):
+        pages.append(e2(spec))
+        return pages[-1]
+
+    def counting(top, rows, moduli):
+        multiplied.append(len(rows))
+        return first_map(top, rows, moduli)
+
+    monkeypatch.setattr(spectral, "compute_e2", keep_page)
+    monkeypatch.setattr(koszul, "_first_map", counting)
+    lifted = products = 0
+    for i, spec in enumerate(source_specs(source)):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(spec_doc(spec)), encoding="utf-8")
+        pages[:], multiplied[:] = [], []
+        assert run(JobConfig(input_path=str(path)), stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        expected = []
+        for cx in set(pages[0].complexes.values()):
+            read = any("_lattice" in vars(cell) for cell in cx.cells)
+            assert ("boundaries" in vars(cx)) == read, i
+            lifted += read
+            t = sum(1 for m in cx.aj.moduli if m)
+            expected += [0] * ("_f0_diagonal" in vars(cx))
+            expected += [] if cx.exact else [t * comb(cx.k, p - 1) for p in range(1, cx.k + 1)]
+        assert sorted(multiplied) == sorted(expected), i
+        products += sum(multiplied)
+    assert (lifted > 0, products > 0) == (source == "families",) * 2
 
 
 def test_an_exact_free_complex_prints_unit_diagonals_with_no_smith_loop(monkeypatch):
@@ -497,24 +543,24 @@ def test_an_exact_free_complex_prints_unit_diagonals_with_no_smith_loop(monkeypa
 
 def read_g_0_complexes(monkeypatch):
     # yields each distinct g = 0 complex of the scan, read afresh with no
-    # homology call allowed, with the smith_diagonal arguments and the
-    # composites that reading it took
-    taken, composites = [], []
-    general, compose = smith_diagonal, abelian._composite
+    # homology call allowed, with the smith_diagonal arguments and the rows
+    # of d_p that the first maps multiplied
+    taken, products = [], []
+    general, first_map = smith_diagonal, koszul._first_map
 
     def counting(m):
         taken.append(m)
         return general(m)
 
-    def composing(d_in, d_out):
-        composites.append(d_in)
-        return compose(d_in, d_out)
+    def multiplying(top, rows, moduli):
+        products.extend(rows)
+        return first_map(top, rows, moduli)
 
     def refuse(*args):
         raise AssertionError("a cell was read through homology")
 
     monkeypatch.setattr(koszul, "smith_diagonal", counting)
-    monkeypatch.setattr(abelian, "_composite", composing)
+    monkeypatch.setattr(koszul, "_first_map", multiplying)
     monkeypatch.setattr(abelian, "_diagonal_homology", refuse)
     for spec in source_specs("scan"):
         done = set()
@@ -522,9 +568,9 @@ def read_g_0_complexes(monkeypatch):
             if cx.annihilator or id(cx) in done:
                 continue
             done.add(id(cx))
-            fresh, taken[:], composites[:] = fresh_complex(cx), [], []
+            fresh, taken[:], products[:] = fresh_complex(cx), [], []
             fresh.cells
-            yield key, cx, fresh, list(taken), list(composites)
+            yield key, cx, fresh, list(taken), list(products)
 
 
 def test_an_exact_g_0_complex_reads_h0_from_f0_alone(monkeypatch):
@@ -535,27 +581,27 @@ def test_an_exact_g_0_complex_reads_h0_from_f0_alone(monkeypatch):
     for key, cx, fresh, taken, _ in read_g_0_complexes(monkeypatch):
         if fresh.exact:
             exact += 1
-            assert taken == [fresh._f0()], key
+            assert taken == [fresh._first(0)], key
             assert "boundaries" not in vars(cx) and "boundaries" not in vars(fresh), key
     assert exact == 6
 
 
 def test_a_free_g_0_complex_takes_the_smith_diagonal_of_f0_once(monkeypatch):
     # a g = 0 complex that is not exact takes k + 1 diagonals, one per F_p,
-    # F_0's once; a free one forms no composite, as F_p is d_{p+1}, whose
+    # F_0's once; a free one multiplies no rows, as F_p is d_{p+1}, whose
     # diagonal --emit-intermediate prints
     kinds = set()
-    for key, _, fresh, taken, composites in read_g_0_complexes(monkeypatch):
+    for key, _, fresh, taken, products in read_g_0_complexes(monkeypatch):
         if fresh.exact:
             continue
         if fresh.is_free:
-            assert composites == [], key
+            assert products == [], key
             diagonals = [fresh.diagonal(p) for p in range(1, fresh.k + 1)]
             assert diagonals == [smith_diagonal(b.matrix) for b in fresh.boundaries], key
-        first = [fresh._f0()] + [_first_map(fresh.boundary(p + 1), fresh.boundary(p))
-                                 for p in range(1, fresh.k + 1)]
+        first = [dense_first_map(fresh.boundary(p + 1), fresh.boundary(p))
+                 for p in range(fresh.k + 1)]
         assert taken == first, key
-        assert sum(1 for m in taken if m == fresh._f0()) == 1, key
+        assert sum(1 for m in taken if m == fresh._first(0)) == 1, key
         kinds.add(fresh.is_free)
     assert kinds == {True, False}
 
