@@ -870,11 +870,11 @@ def _diagonal_homology(d_in: GroupHom, d_out: GroupHom) -> FgAbGroup:
     modules is saturated, so the torsion is the Smith diagonal of the first
     map and the free rank is n + |T| - rk [B | R_N] - rk(first map), where
     rk [B | R_N] = |T| + rk(rows of B outside T).  There is one path: when M
-    and N are free the first map is A and every row of B is outside T.
+    and N are free the first map is A itself and every row of B is outside T.
     """
     b, nu = d_out.matrix.data, d_out.target.moduli
-    diag_in = smith_diagonal(_first_map(IntMatrix.hstack(d_in.matrix, d_in.target.relations),
-                                        [row for row, m in zip(b, nu) if m], [m for m in nu if m]))
+    top = IntMatrix.hstack(d_in.matrix, d_in.target.relations) if any(d_in.target.moduli) else d_in.matrix
+    diag_in = smith_diagonal(_first_map(top, [row for row, m in zip(b, nu) if m], [m for m in nu if m]))
     n = d_in.target.ambient_rank
     outside = [row for row, m in zip(b, nu) if not m]
     rank_out = _rank_and_minor(IntMatrix(len(outside), n, outside))[0]

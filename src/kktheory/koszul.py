@@ -86,7 +86,7 @@ coker d_{p+1} = im d_p is free, so its diagonal is read off the rank.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, cycle
 from math import comb, gcd, lcm
 
@@ -240,9 +240,11 @@ class GradedChainComplex:
         raise ValueError(f"no boundary at position {p}")
 
 
-def boundary_blocks(k: int, p: int) -> list:
+@cache
+def boundary_blocks(k: int, p: int) -> tuple:
     """The block formula of d_p, the one description that ``_layout`` and
-    the JSON writer both read.  Entry a is row block a, the a-th
+    the JSON writer both read, kept per (k, p) as every complex of a run
+    reads the same few, F_p two of them.  Entry a is row block a, the a-th
     (p-1)-tuple lambda of ``index_tuples``; it lists (b, color, odd) over
     the colors not in lambda, b ascending: column block b is the p-tuple
     mu = lambda + {color}, color = mu_i (i from 0), and the block is
@@ -252,7 +254,7 @@ def boundary_blocks(k: int, p: int) -> list:
     for b, mu in enumerate(index_tuples(k, p)):
         for i, color in enumerate(mu):
             out[position[mu[:i] + mu[i + 1:]]].append((b, color, i % 2))
-    return out
+    return tuple(map(tuple, out))
 
 
 def build_complex(aj: FgAbGroup, rhos: tuple) -> GradedChainComplex:
