@@ -872,10 +872,10 @@ def _diagonal_homology(d_in: GroupHom, d_out: GroupHom) -> FgAbGroup:
     rk [B | R_N] = |T| + rk(rows of B outside T).  There is one path: when M
     and N are free the first map is A itself and every row of B is outside T.
     """
-    b, nu = d_out.matrix.data, d_out.target.moduli
-    top = IntMatrix.hstack(d_in.matrix, d_in.target.relations) if any(d_in.target.moduli) else d_in.matrix
+    middle, b, nu = d_in.target, d_out.matrix.data, d_out.target.moduli
+    top = IntMatrix.hstack(d_in.matrix, middle.relations) if any(middle.moduli) else d_in.matrix
     diag_in = smith_diagonal(_first_map(top, [row for row, m in zip(b, nu) if m], [m for m in nu if m]))
-    n = d_in.target.ambient_rank
+    n = middle.ambient_rank
     outside = [row for row, m in zip(b, nu) if not m]
     rank_out = _rank_and_minor(IntMatrix(len(outside), n, outside))[0]
     rank = n - rank_out - sum(1 for e in diag_in if e)
